@@ -19,24 +19,23 @@ use crate::sqlgen::{sql_ident, sql_lit};
 pub fn publish_interval(db: &Database, _s: &IntervalScheme, doc: i64, pre: i64) -> Result<String> {
     // Fetch the node's size, then its whole interval.
     let size = db
-        .query_readonly(&format!(
+        .query(&format!(
             "SELECT size FROM inode WHERE doc = {doc} AND pre = {pre}"
         ))?
         .scalar()
         .and_then(Value::as_int)
         .ok_or_else(|| CoreError::Translate(format!("no inode ({doc},{pre})")))?;
     let mut recs = Vec::new();
-    db.query_streaming(
-        &format!(
-            "SELECT pre, parent, ordinal, kind, name, value FROM inode \
-             WHERE doc = {doc} AND pre >= {pre} AND pre <= {hi}",
-            hi = pre + size
-        ),
-        |row| {
-            recs.push(rec_from_row(&row, pre));
-            Ok(())
-        },
-    )?;
+    db.prepare(&format!(
+        "SELECT pre, parent, ordinal, kind, name, value FROM inode \
+         WHERE doc = {doc} AND pre >= {pre} AND pre <= {hi}",
+        hi = pre + size
+    ))?
+    .run(&db.limits, false, |row| {
+        recs.push(rec_from_row(&row, pre));
+        Ok(())
+    })
+    .0?;
     Ok(serialize::to_string(&rebuild(recs)?))
 }
 
@@ -52,25 +51,24 @@ pub fn publish_dewey(db: &Database, _s: &DeweyScheme, doc: i64, key: &str) -> Re
         Option<String>,
     );
     let mut raw: Vec<RawRow> = Vec::new();
-    db.query_streaming(
-        &format!(
-            "SELECT dewey, parent, ordinal, kind, name, value FROM dnode \
-             WHERE doc = {doc} AND (dewey = {k} OR dewey LIKE {pat}) ORDER BY dewey",
-            k = sql_lit(key),
-            pat = sql_lit(&format!("{key}.%"))
-        ),
-        |row| {
-            raw.push((
-                row_text(&row, 0).unwrap_or("").to_string(),
-                row_text(&row, 1).map(str::to_string),
-                row_int(&row, 2).unwrap_or(0),
-                row_text(&row, 3).unwrap_or("").to_string(),
-                row_text(&row, 4).map(str::to_string),
-                row_text(&row, 5).map(str::to_string),
-            ));
-            Ok(())
-        },
-    )?;
+    db.prepare(&format!(
+        "SELECT dewey, parent, ordinal, kind, name, value FROM dnode \
+         WHERE doc = {doc} AND (dewey = {k} OR dewey LIKE {pat}) ORDER BY dewey",
+        k = sql_lit(key),
+        pat = sql_lit(&format!("{key}.%"))
+    ))?
+    .run(&db.limits, false, |row| {
+        raw.push((
+            row_text(&row, 0).unwrap_or("").to_string(),
+            row_text(&row, 1).map(str::to_string),
+            row_int(&row, 2).unwrap_or(0),
+            row_text(&row, 3).unwrap_or("").to_string(),
+            row_text(&row, 4).map(str::to_string),
+            row_text(&row, 5).map(str::to_string),
+        ));
+        Ok(())
+    })
+    .0?;
     if raw.is_empty() {
         return Err(CoreError::Translate(format!("no dnode ({doc},{key})")));
     }
@@ -104,16 +102,15 @@ pub fn publish_dewey(db: &Database, _s: &DeweyScheme, doc: i64, key: &str) -> Re
 pub fn publish_edge(db: &Database, _s: &EdgeScheme, doc: i64, pre: i64) -> Result<String> {
     let mut recs: Vec<NodeRec> = Vec::new();
     // The node's own edge row.
-    db.query_streaming(
-        &format!(
-            "SELECT target, source, ordinal, kind, label, value FROM edge \
-             WHERE doc = {doc} AND target = {pre}"
-        ),
-        |row| {
-            recs.push(edge_rec(&row, pre));
-            Ok(())
-        },
-    )?;
+    db.prepare(&format!(
+        "SELECT target, source, ordinal, kind, label, value FROM edge \
+         WHERE doc = {doc} AND target = {pre}"
+    ))?
+    .run(&db.limits, false, |row| {
+        recs.push(edge_rec(&row, pre));
+        Ok(())
+    })
+    .0?;
     if recs.is_empty() {
         return Err(CoreError::Translate(format!("no edge node ({doc},{pre})")));
     }
@@ -122,21 +119,20 @@ pub fn publish_edge(db: &Database, _s: &EdgeScheme, doc: i64, pre: i64) -> Resul
         let mut next = Vec::new();
         for chunk in frontier.chunks(200) {
             let list: Vec<String> = chunk.iter().map(i64::to_string).collect();
-            db.query_streaming(
-                &format!(
-                    "SELECT target, source, ordinal, kind, label, value FROM edge \
-                     WHERE doc = {doc} AND source IN ({})",
-                    list.join(", ")
-                ),
-                |row| {
-                    let rec = edge_rec(&row, pre);
-                    if rec.kind == RecKind::Elem {
-                        next.push(rec.pre);
-                    }
-                    recs.push(rec);
-                    Ok(())
-                },
-            )?;
+            db.prepare(&format!(
+                "SELECT target, source, ordinal, kind, label, value FROM edge \
+                 WHERE doc = {doc} AND source IN ({})",
+                list.join(", ")
+            ))?
+            .run(&db.limits, false, |row| {
+                let rec = edge_rec(&row, pre);
+                if rec.kind == RecKind::Elem {
+                    next.push(rec.pre);
+                }
+                recs.push(rec);
+                Ok(())
+            })
+            .0?;
         }
         frontier = next;
     }
@@ -188,23 +184,22 @@ pub fn publish_binary(db: &Database, s: &BinaryScheme, doc: i64, pre: i64) -> Re
     let attr_tables: Vec<(String, String)> = {
         // label registry: attribute tables.
         let mut v = Vec::new();
-        db.query_streaming(
-            "SELECT label, tbl FROM bin_labels WHERE kind = 'attr'",
-            |row| {
+        db.prepare("SELECT label, tbl FROM bin_labels WHERE kind = 'attr'")?
+            .run(&db.limits, false, |row| {
                 v.push((
                     row_text(&row, 0).unwrap_or("").to_string(),
                     row_text(&row, 1).unwrap_or("").to_string(),
                 ));
                 Ok(())
-            },
-        )?;
+            })
+            .0?;
         v
     };
     let mut recs: Vec<NodeRec> = Vec::new();
     // Find the root node's row (label unknown: try each table).
     let mut root_label = None;
     for (label, tbl) in &labels {
-        let q = db.query_readonly(&format!(
+        let q = db.query(&format!(
             "SELECT source, ordinal FROM {} WHERE doc = {doc} AND pre = {pre}",
             sql_ident(tbl)
         ))?;
@@ -234,70 +229,67 @@ pub fn publish_binary(db: &Database, s: &BinaryScheme, doc: i64, pre: i64) -> Re
         let in_list = list.join(", ");
         let mut next = Vec::new();
         for (label, tbl) in &labels {
-            db.query_streaming(
-                &format!(
-                    "SELECT pre, source, ordinal FROM {} \
-                     WHERE doc = {doc} AND source IN ({in_list})",
-                    sql_ident(tbl)
-                ),
-                |row| {
-                    let p = row_int(&row, 0).unwrap_or(0);
-                    next.push(p);
-                    recs.push(NodeRec {
-                        pre: p,
-                        parent: row_int(&row, 1),
-                        ordinal: row_int(&row, 2).unwrap_or(0),
-                        size: 0,
-                        level: 0,
-                        kind: RecKind::Elem,
-                        name: Some(label.clone()),
-                        value: None,
-                    });
-                    Ok(())
-                },
-            )?;
+            db.prepare(&format!(
+                "SELECT pre, source, ordinal FROM {} \
+                 WHERE doc = {doc} AND source IN ({in_list})",
+                sql_ident(tbl)
+            ))?
+            .run(&db.limits, false, |row| {
+                let p = row_int(&row, 0).unwrap_or(0);
+                next.push(p);
+                recs.push(NodeRec {
+                    pre: p,
+                    parent: row_int(&row, 1),
+                    ordinal: row_int(&row, 2).unwrap_or(0),
+                    size: 0,
+                    level: 0,
+                    kind: RecKind::Elem,
+                    name: Some(label.clone()),
+                    value: None,
+                });
+                Ok(())
+            })
+            .0?;
         }
         for (label, tbl) in &attr_tables {
-            db.query_streaming(
-                &format!(
-                    "SELECT pre, source, ordinal, value FROM {} \
-                     WHERE doc = {doc} AND source IN ({in_list})",
-                    sql_ident(tbl)
-                ),
-                |row| {
-                    recs.push(NodeRec {
-                        pre: row_int(&row, 0).unwrap_or(0),
-                        parent: row_int(&row, 1),
-                        ordinal: row_int(&row, 2).unwrap_or(0),
-                        size: 0,
-                        level: 0,
-                        kind: RecKind::Attr,
-                        name: Some(label.clone()),
-                        value: row_text(&row, 3).map(str::to_string),
-                    });
-                    Ok(())
-                },
-            )?;
-        }
-        db.query_streaming(
-            &format!(
-                "SELECT pre, source, ordinal, value FROM bin_text \
-                 WHERE doc = {doc} AND source IN ({in_list})"
-            ),
-            |row| {
+            db.prepare(&format!(
+                "SELECT pre, source, ordinal, value FROM {} \
+                 WHERE doc = {doc} AND source IN ({in_list})",
+                sql_ident(tbl)
+            ))?
+            .run(&db.limits, false, |row| {
                 recs.push(NodeRec {
                     pre: row_int(&row, 0).unwrap_or(0),
                     parent: row_int(&row, 1),
                     ordinal: row_int(&row, 2).unwrap_or(0),
                     size: 0,
                     level: 0,
-                    kind: RecKind::Text,
-                    name: None,
+                    kind: RecKind::Attr,
+                    name: Some(label.clone()),
                     value: row_text(&row, 3).map(str::to_string),
                 });
                 Ok(())
-            },
-        )?;
+            })
+            .0?;
+        }
+        db.prepare(&format!(
+            "SELECT pre, source, ordinal, value FROM bin_text \
+             WHERE doc = {doc} AND source IN ({in_list})"
+        ))?
+        .run(&db.limits, false, |row| {
+            recs.push(NodeRec {
+                pre: row_int(&row, 0).unwrap_or(0),
+                parent: row_int(&row, 1),
+                ordinal: row_int(&row, 2).unwrap_or(0),
+                size: 0,
+                level: 0,
+                kind: RecKind::Text,
+                name: None,
+                value: row_text(&row, 3).map(str::to_string),
+            });
+            Ok(())
+        })
+        .0?;
         frontier = next;
     }
     Ok(serialize::to_string(&rebuild(recs)?))

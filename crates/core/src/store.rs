@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use reldb::{CancelToken, Database, Deadline, ExecLimits, ExecProfile, Value};
+use reldb::{CancelToken, Database, Deadline, ExecLimits, ExecProfile, Prepared, Value};
 use shredder::{
     docstore, BinaryScheme, DeweyScheme, EdgeScheme, InlineScheme, IntervalScheme, MappingScheme,
     ShredStats, StorageStats, UniversalScheme,
@@ -686,19 +686,20 @@ impl XmlStore {
         ));
         let _span = trace::span("execute", "sql");
         let started = std::time::Instant::now();
-        let fetched = if analyze {
-            db.query_profiled_limited(&t.sql, limits)
-                .map(|(result, profile)| (result.rows, Some(profile)))
-        } else {
-            db.query_readonly_limited(&t.sql, limits)
-                .map(|r| (r.rows, None))
-        };
+        let mut raw = Vec::new();
+        let fetched = db.prepare(&t.sql).and_then(|prepared| {
+            let (rows, profile) = prepared.run(limits, analyze, |row| {
+                raw.push(row);
+                Ok(())
+            });
+            rows.map(|_| (prepared, profile))
+        });
         let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         metrics::observe_us(
             &metrics::labelled("query_wall_us", "scheme", self.scheme.name()),
             wall_us,
         );
-        let (raw, profile) = match fetched {
+        let (prepared, profile) = match fetched {
             Ok(v) => v,
             Err(e) => {
                 // The ledger keeps the diagnostic: for deadline or
@@ -715,7 +716,8 @@ impl XmlStore {
                 .observe_with_id(query_text, wall_us, raw.len() as u64, q_error, request_id)
         {
             self.capture_forensics(
-                db,
+                &prepared,
+                limits,
                 query_text,
                 t,
                 wall_us,
@@ -730,14 +732,16 @@ impl XmlStore {
     }
 
     /// Assemble and store the forensic record for a threshold-crossing
-    /// execution: the full `EXPLAIN ANALYZE` render (re-running the query
-    /// under the profiler when the offending run was unprofiled — the
-    /// data is still there, so the re-run sees the same plan and
-    /// cardinalities) plus the tail of the installed trace ring.
+    /// execution: the full `EXPLAIN ANALYZE` render (re-running the
+    /// prepared plan under the profiler and the request's `limits` when
+    /// the offending run was unprofiled — the snapshot is still there, so
+    /// the re-run sees the same plan and cardinalities) plus the tail of
+    /// the installed trace ring.
     #[allow(clippy::too_many_arguments)]
     fn capture_forensics(
         &self,
-        db: &Database,
+        prepared: &Prepared<'_>,
+        limits: &ExecLimits,
         query_text: &str,
         t: &Translated,
         wall_us: u64,
@@ -750,12 +754,12 @@ impl XmlStore {
         let config = self.ledger.config();
         let (rendered, q_error) = match profile {
             Some(p) => (Some(p.render(true)), q_error),
-            None => match db.query_profiled(&t.sql) {
-                Ok((_, p)) => {
-                    let q = p.rollup().max_q_error;
-                    (Some(p.render(true)), Some(q))
-                }
-                Err(_) => (None, q_error),
+            None => match prepared.run(limits, true, |_| Ok(())) {
+                (Ok(_), Some(p)) => (Some(p.render(true)), Some(p.rollup().max_q_error)),
+                // A tripped re-run renders its partial profile and the
+                // error, the way EXPLAIN ANALYZE does.
+                (Err(e), Some(p)) => (Some(format!("{}error: {e}\n", p.render(true))), q_error),
+                (_, None) => (None, q_error),
             },
         };
         let explain_analyze = match rendered {
@@ -863,12 +867,7 @@ impl XmlStore {
         query_text: &str,
         t: &Translated,
     ) -> Result<PlanReport> {
-        use reldb::plan::{
-            analyze_physical, bind_select, cost, explain_physical, optimize, plan_physical,
-            AnalyzerOptions,
-        };
-        use reldb::sql::parser::parse_statement;
-        use reldb::sql::Statement;
+        use reldb::plan::{analyze_physical, cost, explain_physical, AnalyzerOptions};
 
         let _span = trace::span("plan.verify", "core");
 
@@ -884,28 +883,19 @@ impl XmlStore {
             });
         }
 
-        let stmt = parse_statement(&t.sql).map_err(CoreError::Db)?;
-        let Statement::Select(sel) = stmt else {
-            return Err(CoreError::Translate(format!(
-                "compiled query is not a SELECT: {}",
-                t.sql
-            )));
-        };
+        let prepared = db.prepare(&t.sql)?;
+        let physical = prepared.physical();
         let catalog = &db.catalog;
-        let bound = bind_select(catalog, &sel).map_err(CoreError::Db)?;
-        let optimized = optimize(bound, &db.optimizer, catalog);
-        let physical = plan_physical(catalog, &optimized, &db.physical).map_err(CoreError::Db)?;
-
-        let mut diagnostics = analyze_physical(catalog, &physical, &AnalyzerOptions::default());
+        let mut diagnostics = analyze_physical(catalog, physical, &AnalyzerOptions::default());
         let query = parse_query(query_text)?;
         let traits = QueryTraits::of(&query);
         let contract = self.scheme.compiler().contract();
-        diagnostics.extend(check_contract(&contract, &traits, db, &physical));
+        diagnostics.extend(check_contract(&contract, &traits, db, physical));
 
-        let report = cost::report_physical(catalog, &physical);
+        let report = cost::report_physical(catalog, physical);
         Ok(PlanReport {
             sql: t.sql.clone(),
-            explain: explain_physical(&physical),
+            explain: explain_physical(physical),
             cost: report.render(),
             total_cost: report.total(),
             diagnostics,
@@ -986,9 +976,10 @@ impl XmlStore {
     /// E6's metric).
     pub fn join_count(&self, query_text: &str) -> Result<usize> {
         let db = self.snapshot();
-        let t = self.translate_impl(&db, query_text, None)?;
-        let (logical, _) = db.plan_select(&t.sql)?;
-        Ok(logical.join_count())
+        let joins = self
+            .translate_impl(&db, query_text, None)
+            .and_then(|t| Ok(db.prepare(&t.sql)?.logical().join_count()));
+        joins
     }
 
     fn documents_in(db: &Database) -> Result<Vec<(i64, String)>> {

@@ -44,7 +44,7 @@ pub fn interval_insert_child(
     parent_pre: i64,
     fragment: &Document,
 ) -> Result<UpdateStats> {
-    let parent = db.query_readonly(&format!(
+    let parent = db.query(&format!(
         "SELECT size, level FROM inode WHERE doc = {doc} AND pre = {parent_pre}"
     ))?;
     let row = parent
@@ -54,7 +54,7 @@ pub fn interval_insert_child(
     let psize = row_int(row, 0).unwrap_or(0);
     let plevel = row_int(row, 1).unwrap_or(0);
     let next_ord = db
-        .query_readonly(&format!(
+        .query(&format!(
             "SELECT MAX(ordinal) FROM inode WHERE doc = {doc} AND parent = {parent_pre}"
         ))?
         .scalar()
@@ -107,7 +107,7 @@ pub fn interval_insert_child(
 
 /// Delete the subtree rooted at the interval-scheme node `(doc, pre)`.
 pub fn interval_delete_subtree(db: &mut Database, doc: i64, pre: i64) -> Result<UpdateStats> {
-    let q = db.query_readonly(&format!(
+    let q = db.query(&format!(
         "SELECT size, parent, ordinal FROM inode WHERE doc = {doc} AND pre = {pre}"
     ))?;
     let row = q
@@ -156,7 +156,7 @@ pub fn dewey_insert_child(
     parent_key: &str,
     fragment: &Document,
 ) -> Result<UpdateStats> {
-    let parent = db.query_readonly(&format!(
+    let parent = db.query(&format!(
         "SELECT level FROM dnode WHERE doc = {doc} AND dewey = {}",
         sql_lit(parent_key)
     ))?;
@@ -166,7 +166,7 @@ pub fn dewey_insert_child(
         .ok_or_else(|| CoreError::Translate(format!("no dnode ({doc},{parent_key})")))?;
     let plevel = row_int(row, 0).unwrap_or(0);
     let next_ord = db
-        .query_readonly(&format!(
+        .query(&format!(
             "SELECT MAX(ordinal) FROM dnode WHERE doc = {doc} AND parent = {}",
             sql_lit(parent_key)
         ))?

@@ -214,8 +214,11 @@ fn translated_sql_round_trips_through_engine_explain() {
     let s = interval_store();
     let t = s.request("/r/a[@x = '1']/text()").translated().unwrap();
     // The generated SQL must be plannable and EXPLAINable.
-    let (logical, physical) = s.with_db(|db| db.plan_select(&t.sql)).unwrap();
-    assert!(logical.join_count() >= 1);
-    let text = reldb::plan::physical::explain_physical(&physical);
+    let (joins, text) = s.with_db(|db| {
+        let prepared = db.prepare(&t.sql).unwrap();
+        let text = reldb::plan::physical::explain_physical(prepared.physical());
+        (prepared.logical().join_count(), text)
+    });
+    assert!(joins >= 1);
     assert!(!text.is_empty());
 }

@@ -48,16 +48,22 @@ fn executions_accumulate_under_one_fingerprint() {
 fn zero_latency_threshold_captures_with_explain_analyze() {
     // Threshold 0 ⇒ every execution is "slow"; the capture must carry the
     // full EXPLAIN ANALYZE render even though the run itself was
-    // unprofiled (forensic re-run).
+    // unprofiled (forensic re-run of the plan the request prepared, so
+    // the SQL is parsed and planned once).
     let store = store_with(LedgerConfig {
         slow_wall_us: 0,
         slow_q_error: f64::INFINITY,
         ..LedgerConfig::default()
     });
+    let sink = trace::TraceSink::new();
     store
         .request("/bib/book[@year > 1990]/title/text()")
+        .trace(&sink)
         .run()
         .expect("run");
+    let events = sink.events();
+    let count = |name: &str| events.iter().filter(|e| e.name == name).count();
+    assert_eq!((count("sql.parse"), count("plan")), (1, 1), "{events:?}");
 
     let captures = store.ledger().captures();
     assert_eq!(captures.len(), 1, "{captures:?}");

@@ -63,11 +63,7 @@ const SOURCE_CALLS: &[&str] = &[
 const METHOD_SINKS: &[&str] = &[
     "execute",
     "query",
-    "query_readonly",
-    "query_readonly_limited",
-    "query_streaming",
-    "query_profiled",
-    "query_profiled_limited",
+    "prepare",
     "cond",
     "add_table",
     "add_table_with",
@@ -715,11 +711,12 @@ mod tests {
         let f = flows(
             r#"fn publish(db: &Db, scheme: &S) {
                 let t = scheme.element_table(7);
-                db.query_streaming(&format!("SELECT * FROM {t} WHERE doc = 1"));
+                db.prepare(&format!("SELECT * FROM {t} WHERE doc = 1"));
             }"#,
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].source, "element_table()");
+        assert_eq!(f[0].sink, "prepare");
         assert!(f[0].chain[0].contains("element_table()"));
     }
 
@@ -728,7 +725,7 @@ mod tests {
         let f = flows(
             r#"fn publish(db: &Db, scheme: &S) {
                 let t = sql_ident(&scheme.element_table(7));
-                db.query_streaming(&format!("SELECT * FROM {t} WHERE doc = 1"));
+                db.prepare(&format!("SELECT * FROM {t} WHERE doc = 1"));
             }"#,
         );
         assert!(f.is_empty(), "{f:?}");

@@ -4,9 +4,7 @@ use xmlrel_obs::{metrics, trace};
 
 use crate::catalog::Catalog;
 use crate::error::{DbError, Result};
-use crate::exec::{
-    build_executor_limited, run_profiled, run_to_vec_limited, ExecLimits, ExecProfile,
-};
+use crate::exec::{build, ExecLimits, ExecProfile, Meter};
 use crate::plan::expr::value_to_bool;
 use crate::plan::logical::{bind_expr, bind_select, LogicalPlan, OutputCol, Scope};
 use crate::plan::optimizer::{optimize_checked, OptimizerOptions};
@@ -14,7 +12,7 @@ use crate::plan::physical::{explain_physical, plan_physical, PhysicalOptions, Ph
 use crate::plan::validate::ensure_valid_logical;
 use crate::schema::{Column, Schema};
 use crate::snapshot::{encode_snapshot, parse_snapshot_gen, snapshot_file, SNAPSHOT_TMP};
-use crate::sql::ast::{ColumnDef, Expr, SelectStmt, Statement};
+use crate::sql::ast::{ColumnDef, Expr, Statement};
 use crate::sql::parser::{parse_script, parse_statement};
 use crate::storage::{FileBackend, StorageBackend};
 use crate::table::Table;
@@ -408,11 +406,7 @@ impl Database {
     /// Execute one SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<ExecResult> {
         let _span = trace::span("db.execute", "sql");
-        let stmt = {
-            let _parse = trace::span("sql.parse", "sql");
-            parse_statement(sql)?
-        };
-        self.execute_stmt(&stmt)
+        self.execute_stmt(&parse(sql)?)
     }
 
     /// Execute a semicolon-separated script, returning the last result.
@@ -429,102 +423,76 @@ impl Database {
         Ok(last)
     }
 
-    /// Execute a SELECT and return its rows (errors on non-SELECT).
-    pub fn query(&mut self, sql: &str) -> Result<QueryResult> {
-        let _span = trace::span("db.query", "sql");
-        match self.execute(sql)? {
-            ExecResult::Rows(q) => Ok(q),
-            ExecResult::Affected(_) => {
-                Err(DbError::Unsupported("query() requires a SELECT".into()))
-            }
-        }
+    /// Parse and plan one read statement — `SELECT` or `EXPLAIN [ANALYZE]
+    /// SELECT` — for [`Prepared::run`]. Any other statement is rejected
+    /// before anything runs. The statement's `db.query` trace span opens
+    /// here and closes when the [`Prepared`] drops, so its `sql.parse`,
+    /// `plan` and `execute` spans all nest below it.
+    pub fn prepare(&self, sql: &str) -> Result<Prepared<'_>> {
+        let span = trace::span("db.query", "sql");
+        self.prepare_stmt(&parse(sql)?, span)
     }
 
-    /// Execute a SELECT without mutable access (reads only).
-    // lint:allow(no-untraced-entrypoint): delegates to the span-opening _limited variant
-    pub fn query_readonly(&self, sql: &str) -> Result<QueryResult> {
-        self.query_readonly_limited(sql, &self.limits)
+    /// Run a read statement under the database-wide limits and materialize
+    /// its rows: [`prepare`](Database::prepare) plus [`Prepared::run`].
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        let span = trace::span("db.query", "sql");
+        self.query_stmt(&parse(sql)?, span)
     }
 
-    /// [`query_readonly`](Database::query_readonly) with per-request
-    /// limits (e.g. a caller-supplied deadline or cancel token) instead of
-    /// the database-wide defaults.
-    pub fn query_readonly_limited(&self, sql: &str, limits: &ExecLimits) -> Result<QueryResult> {
-        let _span = trace::span("db.query_readonly", "sql");
-        let (logical, physical) = self.plan_select(sql)?;
-        let names: Vec<String> = logical.schema().into_iter().map(|c| c.name).collect();
-        let rows = {
-            let _exec = trace::span("execute", "sql");
-            run_to_vec_limited(&physical, &self.catalog, limits)?
-        };
+    /// [`query`](Database::query) on a parsed statement traced by `span`.
+    fn query_stmt(&self, stmt: &Statement, span: trace::Span) -> Result<QueryResult> {
+        let prepared = self.prepare_stmt(stmt, span)?;
+        let mut rows = Vec::new();
+        prepared
+            .run(&self.limits, false, |row| {
+                rows.push(row);
+                Ok(())
+            })
+            .0?;
         Ok(QueryResult {
-            columns: names,
+            columns: prepared.columns(),
             rows,
         })
     }
 
-    /// Execute a SELECT with per-operator profiling. Returns the rows and
-    /// the [`ExecProfile`] tree (estimated vs. actual cardinality, probes,
-    /// comparisons, buffer bytes, wall time per operator). When execution
-    /// fails — e.g. an [`ExecLimits`] trip — the error carries on, but the
-    /// profile of the partial run is what `EXPLAIN ANALYZE` renders.
-    // lint:allow(no-untraced-entrypoint): delegates to the span-opening _limited variant
-    pub fn query_profiled(&self, sql: &str) -> Result<(QueryResult, ExecProfile)> {
-        self.query_profiled_limited(sql, &self.limits)
-    }
-
-    /// [`query_profiled`](Database::query_profiled) with per-request
-    /// limits instead of the database-wide defaults.
-    pub fn query_profiled_limited(
-        &self,
-        sql: &str,
-        limits: &ExecLimits,
-    ) -> Result<(QueryResult, ExecProfile)> {
-        let _span = trace::span("db.query_profiled", "sql");
-        let (logical, physical) = self.plan_select(sql)?;
-        let names: Vec<String> = logical.schema().into_iter().map(|c| c.name).collect();
-        let run = {
-            let _exec = trace::span("execute", "sql");
-            run_profiled(&physical, &self.catalog, limits)?
-        };
-        let rows = run.rows?;
-        Ok((
-            QueryResult {
-                columns: names,
-                rows,
+    /// Bind, validate, optimize, and lower a parsed read statement, traced
+    /// by `span`. The bound plan is validated against the catalog before
+    /// any rewrite runs; debug builds additionally re-validate after each
+    /// optimizer stage (inside [`optimize_checked`]) and validate the
+    /// physical plan, so planner rewrites are proven invariant-preserving
+    /// under the test suite.
+    fn prepare_stmt(&self, stmt: &Statement, span: trace::Span) -> Result<Prepared<'_>> {
+        let (sel, explain) = match stmt {
+            Statement::Select(sel) => (sel, None),
+            Statement::Explain { analyze, stmt } => match &**stmt {
+                Statement::Select(sel) => (sel, Some(*analyze)),
+                _ => return Err(DbError::Unsupported("EXPLAIN supports SELECT only".into())),
             },
-            run.profile,
-        ))
-    }
-
-    /// Plan a SELECT without executing it (benchmarking translation cost,
-    /// join counting).
-    pub fn plan_select(&self, sql: &str) -> Result<(LogicalPlan, PhysicalPlan)> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(sel) = stmt else {
-            return Err(DbError::Unsupported(
-                "plan_select() requires a SELECT".into(),
-            ));
+            _ => {
+                return Err(DbError::Unsupported(
+                    "prepare() accepts SELECT and EXPLAIN [ANALYZE] SELECT only".into(),
+                ))
+            }
         };
-        self.plan_bound_select(&sel)
-    }
-
-    /// Bind, validate, optimize, and lower a SELECT. The bound plan is
-    /// validated against the catalog before any rewrite runs; debug builds
-    /// additionally re-validate after each optimizer stage (inside
-    /// [`optimize_checked`]) and validate the physical plan, so planner
-    /// rewrites are proven invariant-preserving under the test suite.
-    fn plan_bound_select(&self, sel: &SelectStmt) -> Result<(LogicalPlan, PhysicalPlan)> {
-        let _span = trace::span("plan", "sql");
+        let _plan = trace::span("plan", "sql");
         let bound = bind_select(&self.catalog, sel)?;
         ensure_valid_logical(&self.catalog, &bound)?;
         let logical = optimize_checked(bound, &self.optimizer, &self.catalog)?;
         let physical = plan_physical(&self.catalog, &logical, &self.physical)?;
         #[cfg(debug_assertions)]
         crate::plan::validate::ensure_valid_physical(&self.catalog, &physical)?;
-        Ok((logical, physical))
+        Ok(Prepared {
+            db: self,
+            logical,
+            physical,
+            explain,
+            _span: span,
+        })
     }
 
+    /// Execute a parsed statement. Reads go through the prepared path;
+    /// writes are logged to the WAL and bump the epoch.
     fn execute_stmt(&mut self, stmt: &Statement) -> Result<ExecResult> {
         let durable = self.durability.is_some();
         let mut wal: Vec<WalRecord> = Vec::new();
@@ -691,21 +659,10 @@ impl Database {
                 };
                 ExecResult::Affected(n)
             }
-            Statement::Select(sel) => {
-                let (logical, physical) = self.plan_bound_select(sel)?;
-                let names: Vec<String> = logical
-                    .schema()
-                    .into_iter()
-                    .map(|c: OutputCol| c.name)
-                    .collect();
-                let rows = {
-                    let _exec = trace::span("execute", "sql");
-                    run_to_vec_limited(&physical, &self.catalog, &self.limits)?
-                };
-                ExecResult::Rows(QueryResult {
-                    columns: names,
-                    rows,
-                })
+            Statement::Select(_) | Statement::Explain { .. } => {
+                return self
+                    .query_stmt(stmt, trace::span("db.query", "sql"))
+                    .map(ExecResult::Rows);
             }
             Statement::Delete { table, predicate } => {
                 self.check_writable()?;
@@ -790,37 +747,9 @@ impl Database {
                 }
                 ExecResult::Affected(updates.len())
             }
-            Statement::Explain { analyze, stmt } => {
-                let Statement::Select(sel) = &**stmt else {
-                    return Err(DbError::Unsupported("EXPLAIN supports SELECT only".into()));
-                };
-                let (_, physical) = self.plan_bound_select(sel)?;
-                let text = if *analyze {
-                    let run = {
-                        let _exec = trace::span("execute", "sql");
-                        run_profiled(&physical, &self.catalog, &self.limits)?
-                    };
-                    // A failed execution (say, a limit trip) still renders
-                    // the partial profile — that is when it matters most.
-                    let mut t = run.profile.render(true);
-                    if let Err(e) = &run.rows {
-                        t.push_str(&format!("error: {e}\n"));
-                    }
-                    t
-                } else {
-                    explain_physical(&physical)
-                };
-                let rows = text.lines().map(|l| vec![Value::text(l)]).collect();
-                ExecResult::Rows(QueryResult {
-                    columns: vec!["plan".into()],
-                    rows,
-                })
-            }
         };
         self.commit(wal)?;
-        if !matches!(stmt, Statement::Select(_) | Statement::Explain { .. }) {
-            self.epoch += 1;
-        }
+        self.epoch += 1;
         Ok(result)
     }
 
@@ -857,36 +786,116 @@ impl Database {
             Ok(n)
         }
     }
+}
 
-    /// Stream a query through a callback without materializing all rows.
-    // lint:allow(no-untraced-entrypoint): delegates to the span-opening _limited variant
-    pub fn query_streaming(
-        &self,
-        sql: &str,
-        on_row: impl FnMut(Row) -> Result<()>,
-    ) -> Result<usize> {
-        self.query_streaming_limited(sql, &self.limits, on_row)
+/// Parse one statement under a `sql.parse` span.
+fn parse(sql: &str) -> Result<Statement> {
+    let _span = trace::span("sql.parse", "sql");
+    parse_statement(sql)
+}
+
+/// A planned read statement from [`Database::prepare`]: the optimized
+/// logical plan, the physical plan, and the trace span of the statement.
+pub struct Prepared<'db> {
+    db: &'db Database,
+    logical: LogicalPlan,
+    physical: PhysicalPlan,
+    /// `Some(analyze)` for `EXPLAIN [ANALYZE] SELECT`.
+    explain: Option<bool>,
+    _span: trace::Span,
+}
+
+impl Prepared<'_> {
+    /// The optimized logical plan of the `SELECT`.
+    pub fn logical(&self) -> &LogicalPlan {
+        &self.logical
     }
 
-    /// [`query_streaming`](Database::query_streaming) with per-request
-    /// limits instead of the database-wide defaults.
-    pub fn query_streaming_limited(
-        &self,
-        sql: &str,
-        limits: &ExecLimits,
-        mut on_row: impl FnMut(Row) -> Result<()>,
-    ) -> Result<usize> {
-        let _span = trace::span("db.query_streaming", "sql");
-        let (_, physical) = self.plan_select(sql)?;
-        let mut exec = build_executor_limited(&physical, &self.catalog, limits)?;
-        let root = crate::exec::Meter::new(limits, false);
-        let mut n = 0;
-        while let Some(row) = exec.next()? {
-            root.poll("streaming result")?;
-            on_row(row)?;
-            n += 1;
+    /// The physical plan of the `SELECT`.
+    pub fn physical(&self) -> &PhysicalPlan {
+        &self.physical
+    }
+
+    /// Names of the columns [`run`](Prepared::run) emits (`plan` for an
+    /// `EXPLAIN`).
+    fn columns(&self) -> Vec<String> {
+        match self.explain {
+            Some(_) => vec!["plan".into()],
+            None => self.logical.schema().into_iter().map(|c| c.name).collect(),
         }
-        Ok(n)
+    }
+
+    /// Execute under `limits`, handing each result row to `on_row` (an
+    /// `EXPLAIN` emits one row per line of plan text). Returns the number
+    /// of rows emitted and, when `profiled`, the [`ExecProfile`] tree
+    /// (estimated vs. actual cardinality, probes, comparisons, buffer
+    /// bytes, wall time per operator). The profile is returned even when
+    /// execution fails — a limit trip is exactly when you want to see
+    /// which operator was doing what.
+    ///
+    /// Cancellation and the deadline are polled as each row comes out, and
+    /// more than `limits.max_rows` rows fail with
+    /// [`DbError::ResourceExhausted`] before the extra row is emitted.
+    pub fn run(
+        &self,
+        limits: &ExecLimits,
+        profiled: bool,
+        mut on_row: impl FnMut(Row) -> Result<()>,
+    ) -> (Result<usize>, Option<ExecProfile>) {
+        let _span = trace::span("execute", "sql");
+        let (text, profile) = match self.explain {
+            None => return self.pull(limits, profiled, on_row),
+            Some(false) => (explain_physical(&self.physical), None),
+            Some(true) => match self.pull(limits, true, |_| Ok(())) {
+                (rows, Some(profile)) => {
+                    // A failed execution still renders the partial profile.
+                    let mut text = profile.render(true);
+                    if let Err(e) = rows {
+                        text.push_str(&format!("error: {e}\n"));
+                    }
+                    (text, Some(profile))
+                }
+                unbuilt => return unbuilt,
+            },
+        };
+        let emitted = text
+            .lines()
+            .try_for_each(|line| on_row(vec![Value::text(line)]))
+            .map(|()| text.lines().count());
+        (emitted, profile)
+    }
+
+    /// Build the executor and drain it into `on_row`: the result loop
+    /// behind every read. The profile is `None` only when the executor
+    /// could not be built.
+    fn pull(
+        &self,
+        limits: &ExecLimits,
+        profiled: bool,
+        mut on_row: impl FnMut(Row) -> Result<()>,
+    ) -> (Result<usize>, Option<ExecProfile>) {
+        let (mut exec, handle) = match build(&self.physical, &self.db.catalog, limits, profiled) {
+            Ok(built) => built,
+            Err(e) => return (Err(e), None),
+        };
+        let root = Meter::new(limits, false);
+        let mut drain = || -> Result<usize> {
+            let mut n = 0;
+            while let Some(row) = exec.next()? {
+                root.poll("result")?;
+                n += 1;
+                if let Some(max) = limits.max_rows.filter(|&max| n > max) {
+                    metrics::counter_inc("exec_limit_trips_total");
+                    return Err(DbError::ResourceExhausted(format!(
+                        "result produced {n} rows, exceeding max_rows = {max}"
+                    )));
+                }
+                on_row(row)?;
+            }
+            Ok(n)
+        };
+        let rows = drain();
+        (rows, handle.map(|h| h.snapshot()))
     }
 }
 
@@ -994,7 +1003,7 @@ mod tests {
 
     #[test]
     fn end_to_end_select() {
-        let mut db = db_with_data();
+        let db = db_with_data();
         let q = db
             .query("SELECT name FROM emp WHERE salary > 95 ORDER BY name")
             .unwrap();
@@ -1005,7 +1014,7 @@ mod tests {
 
     #[test]
     fn aggregation_group_by_having() {
-        let mut db = db_with_data();
+        let db = db_with_data();
         let q = db
             .query(
                 "SELECT dept, COUNT(*) AS n, SUM(salary) AS total FROM emp \
@@ -1053,7 +1062,7 @@ mod tests {
 
     #[test]
     fn self_join_with_aliases() {
-        let mut db = db_with_data();
+        let db = db_with_data();
         let q = db
             .query(
                 "SELECT a.name, b.name FROM emp a JOIN emp b ON a.dept = b.dept \
@@ -1065,7 +1074,7 @@ mod tests {
 
     #[test]
     fn index_scan_used_for_pk_lookup() {
-        let mut db = db_with_data();
+        let db = db_with_data();
         let q = db
             .query("EXPLAIN SELECT name FROM emp WHERE id = 3")
             .unwrap();
@@ -1120,7 +1129,7 @@ mod tests {
 
     #[test]
     fn union_all_distinct_limit() {
-        let mut db = db_with_data();
+        let db = db_with_data();
         let q = db
             .query(
                 "SELECT dept FROM emp WHERE dept IS NOT NULL \
@@ -1136,7 +1145,7 @@ mod tests {
 
     #[test]
     fn subquery_pipeline() {
-        let mut db = db_with_data();
+        let db = db_with_data();
         let q = db
             .query(
                 "SELECT d, n FROM (SELECT dept AS d, COUNT(*) AS n FROM emp \
@@ -1148,14 +1157,14 @@ mod tests {
 
     #[test]
     fn scalar_no_from() {
-        let mut db = Database::new();
+        let db = Database::new();
         let q = db.query("SELECT 2 + 3 * 4 AS v").unwrap();
         assert_eq!(q.scalar(), Some(&Value::Int(14)));
     }
 
     #[test]
     fn avg_and_empty_aggregate() {
-        let mut db = db_with_data();
+        let db = db_with_data();
         let q = db
             .query("SELECT AVG(salary) FROM emp WHERE dept = 'eng'")
             .unwrap();
@@ -1168,7 +1177,7 @@ mod tests {
 
     #[test]
     fn like_and_functions() {
-        let mut db = db_with_data();
+        let db = db_with_data();
         let q = db
             .query("SELECT UPPER(name) FROM emp WHERE name LIKE '_o%' ORDER BY name")
             .unwrap();
@@ -1178,20 +1187,69 @@ mod tests {
 
     #[test]
     fn streaming_query() {
-        let db = {
-            let mut d = db_with_data();
-            d.execute("CREATE INDEX by_dept ON emp (dept)").unwrap();
-            d
-        };
-        let mut count = 0;
-        let n = db
-            .query_streaming("SELECT name FROM emp WHERE dept = 'eng'", |_| {
-                count += 1;
-                Ok(())
-            })
+        let mut db = db_with_data();
+        db.execute("CREATE INDEX by_dept ON emp (dept)").unwrap();
+        let prepared = db
+            .prepare("SELECT name FROM emp WHERE dept = 'eng'")
             .unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(count, 2);
+        let mut count = 0;
+        let mut counted = |_| {
+            count += 1;
+            Ok(())
+        };
+        let (n, profile) = prepared.run(&db.limits, false, &mut counted);
+        assert_eq!(n.unwrap(), 2);
+        assert!(profile.is_none());
+        // Past max_rows the run fails before the extra row is emitted.
+        let limits = ExecLimits {
+            max_rows: Some(1),
+            ..ExecLimits::default()
+        };
+        let (n, _) = prepared.run(&limits, false, &mut counted);
+        assert!(matches!(n, Err(DbError::ResourceExhausted(_))), "{n:?}");
+        assert_eq!(count, 3);
+    }
+
+    #[test]
+    fn query_rejects_writes_before_running_them() {
+        let db = db_with_data();
+        let epoch = db.epoch();
+        let err = db.query("DELETE FROM emp").unwrap_err();
+        assert!(matches!(err, DbError::Unsupported(_)), "{err}");
+        let err = db.prepare("UPDATE emp SET salary = 0").err().unwrap();
+        assert!(matches!(err, DbError::Unsupported(_)), "{err}");
+        let count = db.query("SELECT COUNT(*) FROM emp").unwrap();
+        assert_eq!(count.scalar(), Some(&Value::Int(5)));
+        assert_eq!(db.epoch(), epoch);
+    }
+
+    #[test]
+    fn each_statement_is_one_db_query_span_over_parse_plan_execute() {
+        let db = db_with_data();
+        let sink = trace::TraceSink::new();
+        {
+            let _g = trace::install(&sink);
+            db.query("SELECT name FROM emp").unwrap();
+            db.prepare("SELECT name FROM emp WHERE id = 1")
+                .unwrap()
+                .run(&db.limits, false, |_| Ok(()))
+                .0
+                .unwrap();
+        }
+        // Spans record as they close: children before their parent.
+        let events = sink.events();
+        let statements: Vec<&[trace::Event]> = events
+            .split_inclusive(|e| e.name.starts_with("db.query"))
+            .collect();
+        assert_eq!(statements.len(), 2, "{events:?}");
+        for stmt in statements {
+            let (parent, children) = stmt.split_last().unwrap();
+            assert_eq!(parent.name, "db.query");
+            let mut names: Vec<&str> = children.iter().map(|e| e.name.as_ref()).collect();
+            names.sort_unstable();
+            assert_eq!(names, ["execute", "plan", "sql.parse"], "{events:?}");
+            assert!(children.iter().all(|e| e.depth == parent.depth + 1));
+        }
     }
 
     #[test]
@@ -1206,7 +1264,7 @@ mod tests {
     }
 
     #[test]
-    fn interval_join_plan_selected() {
+    fn interval_join_plan_chosen() {
         let mut db = Database::new();
         db.execute_script(
             "CREATE TABLE node (pre INT, size INT, name TEXT);
@@ -1214,13 +1272,13 @@ mod tests {
         )
         .unwrap();
         // Descendants of each 'a': pre in (a.pre, a.pre + a.size].
-        let (_, phys) = db
-            .plan_select(
+        let prepared = db
+            .prepare(
                 "SELECT d.name FROM node a, node d \
                  WHERE a.name = 'a' AND d.pre > a.pre AND d.pre <= a.pre + a.size",
             )
             .unwrap();
-        let text = explain_physical(&phys);
+        let text = explain_physical(prepared.physical());
         assert!(text.contains("IntervalJoin"), "{text}");
         let q = db
             .query(
@@ -1235,7 +1293,7 @@ mod tests {
 
     #[test]
     fn explain_returns_plan_rows() {
-        let mut db = db_with_data();
+        let db = db_with_data();
         let q = db.query("EXPLAIN SELECT * FROM emp WHERE id = 1").unwrap();
         assert!(!q.rows.is_empty());
         assert_eq!(q.columns, vec!["plan"]);
@@ -1243,7 +1301,7 @@ mod tests {
 
     #[test]
     fn explain_analyze_reports_actuals() {
-        let mut db = db_with_data();
+        let db = db_with_data();
         let q = db
             .query("EXPLAIN ANALYZE SELECT name FROM emp WHERE salary > 95")
             .unwrap();
@@ -1255,13 +1313,15 @@ mod tests {
     }
 
     #[test]
-    fn query_profiled_mirrors_plan_shape() {
+    fn profiled_run_mirrors_plan_shape() {
         let mut db = db_with_data();
         db.execute("CREATE INDEX by_dept ON emp (dept)").unwrap();
-        let (q, profile) = db
-            .query_profiled("SELECT name FROM emp WHERE dept = 'eng'")
-            .unwrap();
-        assert_eq!(q.rows.len(), 2);
+        let (n, profile) = db
+            .prepare("SELECT name FROM emp WHERE dept = 'eng'")
+            .unwrap()
+            .run(&db.limits, true, |_| Ok(()));
+        assert_eq!(n.unwrap(), 2);
+        let profile = profile.unwrap();
         assert_eq!(profile.stats.rows_out, 2);
         // The root consumes what its child produced.
         let mut labels = Vec::new();
@@ -1285,15 +1345,20 @@ mod tests {
         assert!(msg.contains("Sort"), "{msg}");
         assert!(msg.contains("max_intermediate_rows = 2"), "{msg}");
         // Profiled runs record the trip in the operator's profile node.
-        let run = {
-            let (_, physical) = db
-                .plan_select("SELECT name FROM emp ORDER BY salary")
-                .unwrap();
-            run_profiled(&physical, &db.catalog, &db.limits).unwrap()
-        };
-        assert!(run.rows.is_err());
-        let trip = run.profile.limit_trip().expect("trip recorded");
+        let (n, profile) = db
+            .prepare("SELECT name FROM emp ORDER BY salary")
+            .unwrap()
+            .run(&db.limits, true, |_| Ok(()));
+        assert!(n.is_err());
+        let trip = profile.unwrap().limit_trip().expect("trip recorded");
         assert!(trip.contains("Sort"), "{trip}");
+        // EXPLAIN ANALYZE renders the partial profile plus the error.
+        let q = db
+            .query("EXPLAIN ANALYZE SELECT name FROM emp ORDER BY salary")
+            .unwrap();
+        let text: String = q.rows.iter().map(|r| r[0].to_string() + "\n").collect();
+        assert!(text.contains("!limit: Sort"), "{text}");
+        assert!(text.contains("error: "), "{text}");
     }
 
     #[test]
@@ -1315,8 +1380,8 @@ mod tests {
             .unwrap();
         assert_eq!(db.epoch(), before + 1);
         // The snapshot keeps answering at its epoch; the live handle moved on.
-        let frozen = snap.query_readonly("SELECT COUNT(name) FROM emp").unwrap();
-        let live = db.query_readonly("SELECT COUNT(name) FROM emp").unwrap();
+        let frozen = snap.query("SELECT COUNT(name) FROM emp").unwrap();
+        let live = db.query("SELECT COUNT(name) FROM emp").unwrap();
         let count = |q: crate::QueryResult| q.scalar().and_then(Value::as_int).unwrap();
         assert_eq!(count(live), count(frozen) + 1);
         assert_eq!(snap.epoch(), before);

@@ -1,9 +1,10 @@
 //! Volcano-style executor: each operator is a pull iterator over rows.
 //!
-//! Execution can optionally be *profiled*: [`build_executor_profiled`]
-//! wraps every operator with a rows/wall-time shim and hands each one a
-//! [`Meter`] for operator-specific counters, producing an [`ExecProfile`]
-//! tree (estimated vs. actual cardinality per node) after the run.
+//! Plans run through [`Prepared::run`](crate::db::Prepared::run).
+//! Execution can optionally be *profiled*: the builder then wraps every
+//! operator with a rows/wall-time shim and hands each one a [`Meter`] for
+//! operator-specific counters, producing an [`ExecProfile`] tree
+//! (estimated vs. actual cardinality per node) after the run.
 
 mod aggregate;
 mod join;
@@ -131,39 +132,19 @@ pub(crate) fn deadline_trip(op: &str) -> DbError {
     DbError::DeadlineExceeded(format!("{op} exceeded the query deadline"))
 }
 
-/// Build an executor tree for a physical plan over a catalog, with no
-/// resource limits.
-pub fn build_executor<'a>(
-    plan: &'a PhysicalPlan,
-    catalog: &'a Catalog,
-) -> Result<Box<dyn Executor + 'a>> {
-    build_executor_limited(plan, catalog, &ExecLimits::default())
-}
-
-/// Build an executor tree enforcing `limits` on materializing operators.
-pub fn build_executor_limited<'a>(
-    plan: &'a PhysicalPlan,
-    catalog: &'a Catalog,
-    limits: &ExecLimits,
-) -> Result<Box<dyn Executor + 'a>> {
-    Ok(build_node(plan, catalog, limits, None)?.0)
-}
-
-/// Build a *profiled* executor tree: every operator is wrapped with a
+/// Build an executor tree for a physical plan, enforcing `limits` in
+/// every operator. With `profiled`, every operator is also wrapped with a
 /// rows/wall-time recorder and metered for probes, comparisons, and buffer
-/// bytes. The returned [`ProfileHandle`] snapshots into an
-/// [`ExecProfile`] once (or while) the executor runs; its estimates come
-/// from the same cost model as `EXPLAIN`.
-pub fn build_executor_profiled<'a>(
+/// bytes; the returned [`ProfileHandle`] snapshots into an [`ExecProfile`]
+/// whose estimates come from the same cost model as `EXPLAIN`.
+pub(crate) fn build<'a>(
     plan: &'a PhysicalPlan,
     catalog: &'a Catalog,
     limits: &ExecLimits,
-) -> Result<(Box<dyn Executor + 'a>, ProfileHandle)> {
-    let report = report_physical(catalog, plan);
-    let (exec, handle) = build_node(plan, catalog, limits, Some(&report.root))?;
-    let handle = handle
-        .ok_or_else(|| DbError::Runtime("profiled build produced no profile handle".into()))?;
-    Ok((exec, handle))
+    profiled: bool,
+) -> Result<(Box<dyn Executor + 'a>, Option<ProfileHandle>)> {
+    let report = profiled.then(|| report_physical(catalog, plan));
+    build_node(plan, catalog, limits, report.as_ref().map(|r| &r.root))
 }
 
 /// Recursive builder shared by the plain and profiled paths. When `cost`
@@ -423,87 +404,6 @@ fn max_key_after(v: Value, arity: usize) -> Vec<Value> {
         key.push(Value::Text("\u{10FFFF}\u{10FFFF}".into()));
     }
     key
-}
-
-/// Run a plan to completion, materializing all rows, with no limits.
-pub fn run_to_vec(plan: &PhysicalPlan, catalog: &Catalog) -> Result<Vec<Row>> {
-    run_to_vec_limited(plan, catalog, &ExecLimits::default())
-}
-
-/// Fail the result materialization once it exceeds `max_rows`.
-fn admit_result(limits: &ExecLimits, len: usize) -> Result<()> {
-    match limits.max_rows {
-        Some(max) if len > max => {
-            xmlrel_obs::metrics::counter_inc("exec_limit_trips_total");
-            Err(DbError::ResourceExhausted(format!(
-                "result materialization produced {len} rows, exceeding max_rows = {max}"
-            )))
-        }
-        _ => Ok(()),
-    }
-}
-
-/// Run a plan to completion enforcing `limits`; the materialized result
-/// itself is capped by `limits.max_rows`.
-pub fn run_to_vec_limited(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    limits: &ExecLimits,
-) -> Result<Vec<Row>> {
-    let mut exec = build_executor_limited(plan, catalog, limits)?;
-    let root = Meter::new(limits, false);
-    let mut out = Vec::new();
-    while let Some(row) = exec.next()? {
-        root.poll("result materialization")?;
-        out.push(row);
-        admit_result(limits, out.len())?;
-    }
-    Ok(out)
-}
-
-/// The outcome of a profiled run: the rows (or the error that stopped
-/// them) plus the [`ExecProfile`] of whatever work was done. The profile
-/// survives failures deliberately — a limit trip is exactly when you want
-/// to see which operator was doing what.
-pub struct ProfiledRun {
-    /// Materialized rows, or the execution error.
-    pub rows: Result<Vec<Row>>,
-    /// Runtime profile of the (possibly partial) execution.
-    pub profile: ExecProfile,
-}
-
-/// Run a plan to completion with profiling enabled. The outer `Result`
-/// fails only when the executor cannot be *built* (e.g. a missing index);
-/// execution errors are reported inside [`ProfiledRun::rows`] so the
-/// profile is still available.
-pub fn run_profiled(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    limits: &ExecLimits,
-) -> Result<ProfiledRun> {
-    let (mut exec, handle) = build_executor_profiled(plan, catalog, limits)?;
-    let root = Meter::new(limits, false);
-    let mut out = Vec::new();
-    let rows = loop {
-        match exec.next() {
-            Err(e) => break Err(e),
-            Ok(None) => break Ok(std::mem::take(&mut out)),
-            Ok(Some(row)) => {
-                if let Err(e) = root.poll("result materialization") {
-                    break Err(e);
-                }
-                out.push(row);
-                if let Err(e) = admit_result(limits, out.len()) {
-                    break Err(e);
-                }
-            }
-        }
-    };
-    drop(exec);
-    Ok(ProfiledRun {
-        rows,
-        profile: handle.snapshot(),
-    })
 }
 
 // ---- leaf and unary operators --------------------------------------------

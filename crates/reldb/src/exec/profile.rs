@@ -218,9 +218,8 @@ impl Executor for ProfiledExec<'_> {
 }
 
 /// Live handle onto one profiled operator (and its children), produced by
-/// [`build_executor_profiled`](crate::exec::build_executor_profiled).
-/// Counters keep updating while the executor runs; [`snapshot`] freezes
-/// them.
+/// a profiled [`Prepared::run`](crate::db::Prepared::run). Counters keep
+/// updating while the executor runs; [`snapshot`] freezes them.
 ///
 /// [`snapshot`]: ProfileHandle::snapshot
 pub struct ProfileHandle {

@@ -24,6 +24,11 @@
 //! ).unwrap();
 //! let q = db.query("SELECT name FROM emp WHERE salary > 100").unwrap();
 //! assert_eq!(q.rows, vec![vec![Value::text("ada")]]);
+//!
+//! // Or plan once, then stream rows under per-call limits, profiled.
+//! let prepared = db.prepare("SELECT name FROM emp").unwrap();
+//! let (n, profile) = prepared.run(&db.limits, true, |_row| Ok(()));
+//! assert_eq!((n.unwrap(), profile.unwrap().stats.rows_out), (2, 2));
 //! ```
 
 #![warn(missing_docs)]
@@ -44,7 +49,7 @@ pub mod table;
 pub mod value;
 pub mod wal;
 
-pub use db::{Database, DbStatus, ExecResult, QueryResult, RetryPolicy};
+pub use db::{Database, DbStatus, ExecResult, Prepared, QueryResult, RetryPolicy};
 pub use error::{DbError, Result};
 pub use exec::{CancelToken, Deadline, ExecLimits, ExecProfile, OpStats, ProfileRollup};
 pub use schema::{Column, Schema};

@@ -363,8 +363,12 @@ mod tests {
             "SELECT a.id FROM a, b WHERE a.id = b.ref AND a.tag = 't1'",
             "SELECT id FROM a ORDER BY id",
         ] {
-            let (_, physical) = db.plan_select(sql).unwrap();
-            assert_eq!(findings(&db, &physical), Vec::<&str>::new(), "{sql}");
+            let prepared = db.prepare(sql).unwrap();
+            assert_eq!(
+                findings(&db, prepared.physical()),
+                Vec::<&str>::new(),
+                "{sql}"
+            );
         }
     }
 
@@ -403,9 +407,10 @@ mod tests {
     fn full_scan_with_index_detected() {
         let mut db = db();
         db.physical.use_indexes = false;
-        let (_, physical) = db.plan_select("SELECT id FROM a WHERE tag = 't3'").unwrap();
+        let prepared = db.prepare("SELECT id FROM a WHERE tag = 't3'").unwrap();
+        let physical = prepared.physical();
         assert!(
-            findings(&db, &physical).contains(&"full-scan-indexed"),
+            findings(&db, physical).contains(&"full-scan-indexed"),
             "{physical:?}"
         );
     }
@@ -415,11 +420,12 @@ mod tests {
         let mut db = db();
         db.physical.use_hash_join = false;
         db.physical.use_index_nl_join = false;
-        let (_, physical) = db
-            .plan_select("SELECT a.id FROM a, b WHERE a.id = b.ref")
+        let prepared = db
+            .prepare("SELECT a.id FROM a, b WHERE a.id = b.ref")
             .unwrap();
+        let physical = prepared.physical();
         assert!(
-            findings(&db, &physical).contains(&"nl-join-unindexed"),
+            findings(&db, physical).contains(&"nl-join-unindexed"),
             "{physical:?}"
         );
     }
@@ -441,13 +447,13 @@ mod tests {
     #[test]
     fn blowup_threshold_is_configurable() {
         let db = db();
-        let (_, physical) = db
-            .plan_select("SELECT a.id FROM a, b WHERE a.id = b.ref")
+        let prepared = db
+            .prepare("SELECT a.id FROM a, b WHERE a.id = b.ref")
             .unwrap();
         let strict = AnalyzerOptions {
             blowup_factor: 0.0001,
         };
-        let ds = analyze_physical(&db.catalog, &physical, &strict);
+        let ds = analyze_physical(&db.catalog, prepared.physical(), &strict);
         assert!(ds.iter().any(|d| d.rule == "estimated-blowup"), "{ds:?}");
     }
 }

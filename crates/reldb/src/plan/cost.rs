@@ -701,7 +701,8 @@ mod tests {
     #[test]
     fn index_selection_and_logical_estimate_agree() {
         let db = db();
-        let (_, physical) = db.plan_select("SELECT id FROM t WHERE tag = 'g7'").unwrap();
+        let prepared = db.prepare("SELECT id FROM t WHERE tag = 'g7'").unwrap();
+        let physical = prepared.physical();
         // Find the IndexScan the planner chose.
         fn find_index_scan(p: &PhysicalPlan) -> Option<&PhysicalPlan> {
             match p {
@@ -714,7 +715,7 @@ mod tests {
                 _ => None,
             }
         }
-        let scan = find_index_scan(&physical).expect("index scan chosen");
+        let scan = find_index_scan(physical).expect("index scan chosen");
         let phys_rows = cost_physical(&db.catalog, scan).rows;
 
         let logical = LogicalPlan::Filter {
@@ -753,10 +754,11 @@ mod tests {
     #[test]
     fn report_renders_stably() {
         let db = db();
-        let (_, physical) = db
-            .plan_select("SELECT id FROM t WHERE tag = 'g1' ORDER BY id")
+        let prepared = db
+            .prepare("SELECT id FROM t WHERE tag = 'g1' ORDER BY id")
             .unwrap();
-        let report = report_physical(&db.catalog, &physical);
+        let physical = prepared.physical();
+        let report = report_physical(&db.catalog, physical);
         let text = report.render();
         assert!(text.contains("IndexScan t via t_tag"), "{text}");
         assert!(text.contains("rows=30"), "{text}");
@@ -764,6 +766,6 @@ mod tests {
             .trim_end()
             .ends_with(&format!("total cost={:.0}", report.total().round())));
         // Rendering is deterministic.
-        assert_eq!(text, report_physical(&db.catalog, &physical).render());
+        assert_eq!(text, report_physical(&db.catalog, physical).render());
     }
 }

@@ -361,8 +361,8 @@ mod tests {
     fn selective_leaf_becomes_driver() {
         let db = db_with_skew();
         // small.label='l3' (1 row) should drive, not big (3000 rows).
-        let (logical, _) = db
-            .plan_select(
+        let prepared = db
+            .prepare(
                 "SELECT big.id FROM big, small \
                  WHERE big.id = small.id AND small.label = 'l3'",
             )
@@ -381,12 +381,13 @@ mod tests {
                 _ => None,
             }
         }
-        assert_eq!(leftmost_scan(&logical), Some("small"), "{logical:?}");
+        let logical = prepared.logical();
+        assert_eq!(leftmost_scan(logical), Some("small"), "{logical:?}");
     }
 
     #[test]
     fn reordered_results_agree_with_unordered() {
-        let mut with = db_with_skew();
+        let with = db_with_skew();
         let mut without = db_with_skew();
         without.optimizer.join_reorder = false;
         for sql in [
@@ -454,7 +455,7 @@ mod tests {
         let db = db_with_skew();
         // A three-way with one disconnected leaf must still produce the
         // same row multiset.
-        let mut with = db_with_skew();
+        let with = db_with_skew();
         let q = "SELECT COUNT(*) FROM small s1, small s2 WHERE s1.label = 'l1'";
         let a = with.query(q).unwrap();
         assert_eq!(a.scalar().and_then(Value::as_int), Some(30));

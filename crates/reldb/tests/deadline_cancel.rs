@@ -24,6 +24,11 @@ fn filled_db(n: i64) -> Database {
     db
 }
 
+/// Stream `sql` under per-call `limits`, discarding the rows.
+fn run(db: &Database, sql: &str, limits: &ExecLimits) -> reldb::Result<usize> {
+    db.prepare(sql)?.run(limits, false, |_| Ok(())).0
+}
+
 #[test]
 fn expired_deadline_trips_before_any_row() {
     let db = filled_db(50);
@@ -32,9 +37,7 @@ fn expired_deadline_trips_before_any_row() {
         ..ExecLimits::default()
     };
     std::thread::sleep(Duration::from_millis(2));
-    let err = db
-        .query_readonly_limited("SELECT id FROM t", &limits)
-        .unwrap_err();
+    let err = run(&db, "SELECT id FROM t", &limits).unwrap_err();
     match &err {
         DbError::DeadlineExceeded(m) => {
             assert!(
@@ -64,7 +67,8 @@ fn deadline_trip_stays_within_twice_the_budget() {
         ..ExecLimits::default()
     };
     let started = Instant::now();
-    let r = db.query_readonly_limited(
+    let r = run(
+        &db,
         "SELECT a.id FROM big a JOIN big b ON a.v = b.v JOIN big c ON b.v = c.v",
         &limits,
     );
@@ -93,9 +97,7 @@ fn pre_cancelled_token_fails_immediately() {
         cancel: Some(token),
         ..ExecLimits::default()
     };
-    let err = db
-        .query_readonly_limited("SELECT id FROM t ORDER BY grp, id", &limits)
-        .unwrap_err();
+    let err = run(&db, "SELECT id FROM t ORDER BY grp, id", &limits).unwrap_err();
     match err {
         DbError::Cancelled(m) => assert!(!m.is_empty()),
         other => panic!("expected Cancelled, got {other:?}"),
@@ -123,7 +125,8 @@ fn cancel_from_another_thread_stops_a_running_query() {
             token.cancel();
         })
     };
-    let r = db.query_readonly_limited(
+    let r = run(
+        &db,
         "SELECT a.id FROM big a JOIN big b ON a.v = b.v JOIN big c ON b.v = c.v",
         &limits,
     );
@@ -142,9 +145,7 @@ fn deadline_error_names_the_operator_in_the_message() {
         deadline: Some(Deadline::at(Instant::now() - Duration::from_millis(1))),
         ..ExecLimits::default()
     };
-    let err = db
-        .query_readonly_limited("SELECT id FROM t", &limits)
-        .unwrap_err();
+    let err = run(&db, "SELECT id FROM t", &limits).unwrap_err();
     let msg = err.to_string();
     assert!(
         msg.contains("deadline"),

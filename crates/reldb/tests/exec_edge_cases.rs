@@ -15,7 +15,7 @@ fn db() -> Database {
 
 #[test]
 fn limit_offset_boundaries() {
-    let mut db = db();
+    let db = db();
     let all = db.query("SELECT k FROM t ORDER BY k LIMIT 100").unwrap();
     assert_eq!(all.rows.len(), 5);
     let two = db
@@ -32,7 +32,7 @@ fn limit_offset_boundaries() {
 
 #[test]
 fn nulls_sort_first_and_distinct_keeps_one_null() {
-    let mut db = db();
+    let db = db();
     let q = db.query("SELECT k FROM t ORDER BY k").unwrap();
     assert!(q.rows[0][0].is_null());
     let q = db.query("SELECT DISTINCT v FROM t ORDER BY v").unwrap();
@@ -43,7 +43,7 @@ fn nulls_sort_first_and_distinct_keeps_one_null() {
 
 #[test]
 fn aggregates_skip_nulls() {
-    let mut db = db();
+    let db = db();
     let q = db
         .query("SELECT COUNT(*), COUNT(k), COUNT(v) FROM t")
         .unwrap();
@@ -56,7 +56,7 @@ fn aggregates_skip_nulls() {
 
 #[test]
 fn group_by_treats_null_as_its_own_group() {
-    let mut db = db();
+    let db = db();
     let q = db
         .query("SELECT v, COUNT(*) FROM t GROUP BY v ORDER BY v")
         .unwrap();
@@ -92,14 +92,14 @@ fn null_join_keys_never_match() {
 
 #[test]
 fn self_cross_join_counts() {
-    let mut db = db();
+    let db = db();
     let q = db.query("SELECT COUNT(*) FROM t a, t b").unwrap();
     assert_eq!(q.scalar(), Some(&Value::Int(25)));
 }
 
 #[test]
 fn between_and_in_with_nulls() {
-    let mut db = db();
+    let db = db();
     let q = db
         .query("SELECT COUNT(*) FROM t WHERE k BETWEEN 2 AND 3")
         .unwrap();
@@ -179,7 +179,7 @@ fn update_expression_uses_old_row_values() {
 
 #[test]
 fn scalar_functions_on_nulls() {
-    let mut db = db();
+    let db = db();
     let q = db
         .query("SELECT UPPER(v), LENGTH(v), COALESCE(v, '?') FROM t WHERE k = 2")
         .unwrap();

@@ -134,7 +134,7 @@ proptest! {
     #[test]
     fn reorder_preserves_results(q in query_strategy()) {
         let sql = q.sql();
-        let mut with = test_db();
+        let with = test_db();
         let mut without = test_db();
         without.optimizer.join_reorder = false;
         let a = with.query(&sql).expect("with reorder");

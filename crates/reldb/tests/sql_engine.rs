@@ -23,7 +23,7 @@ fn northwind_lite() -> Database {
 
 #[test]
 fn join_aggregate_order() {
-    let mut db = northwind_lite();
+    let db = northwind_lite();
     let q = db
         .query(
             "SELECT c.city, COUNT(*) AS n, SUM(o.total) AS revenue \
@@ -38,7 +38,7 @@ fn join_aggregate_order() {
 
 #[test]
 fn left_join_keeps_unmatched() {
-    let mut db = northwind_lite();
+    let db = northwind_lite();
     let q = db
         .query(
             "SELECT c.name, o.id FROM customers c LEFT JOIN orders o \
@@ -59,14 +59,14 @@ fn left_join_keeps_unmatched() {
 
 #[test]
 fn index_nested_loop_join_selected_and_correct() {
-    let mut db = northwind_lite();
-    let (_, phys) = db
-        .plan_select(
+    let db = northwind_lite();
+    let prepared = db
+        .prepare(
             "SELECT o.id FROM customers c, orders o \
              WHERE o.customer = c.id AND c.city = 'berlin'",
         )
         .unwrap();
-    let text = reldb::plan::physical::explain_physical(&phys);
+    let text = reldb::plan::physical::explain_physical(prepared.physical());
     assert!(text.contains("IndexNestedLoopJoin"), "{text}");
     let q = db
         .query(
@@ -82,7 +82,7 @@ fn index_nested_loop_join_selected_and_correct() {
 fn inl_join_agrees_with_hash_join() {
     let sql = "SELECT c.name, o.total FROM customers c JOIN orders o \
                ON o.customer = c.id ORDER BY c.name, o.total";
-    let mut with_inl = northwind_lite();
+    let with_inl = northwind_lite();
     let a = with_inl.query(sql).unwrap();
     let mut without = northwind_lite();
     without.physical.use_index_nl_join = false;
@@ -94,7 +94,7 @@ fn inl_join_agrees_with_hash_join() {
 fn left_join_via_inl_keeps_unmatched() {
     let sql = "SELECT c.name, o.id FROM customers c LEFT JOIN orders o \
                ON o.customer = c.id ORDER BY c.name, o.id";
-    let mut with_inl = northwind_lite();
+    let with_inl = northwind_lite();
     let a = with_inl.query(sql).unwrap();
     let mut without = northwind_lite();
     without.physical.use_index_nl_join = false;
@@ -105,7 +105,7 @@ fn left_join_via_inl_keeps_unmatched() {
 
 #[test]
 fn three_valued_logic_in_where() {
-    let mut db = northwind_lite();
+    let db = northwind_lite();
     // city = 'berlin' is UNKNOWN for dyne (NULL city): excluded.
     let q = db
         .query("SELECT COUNT(*) FROM customers WHERE city = 'berlin'")
@@ -125,7 +125,7 @@ fn three_valued_logic_in_where() {
 
 #[test]
 fn distinct_and_union_all() {
-    let mut db = northwind_lite();
+    let db = northwind_lite();
     let q = db
         .query(
             "SELECT DISTINCT city FROM customers WHERE city IS NOT NULL \
@@ -174,7 +174,7 @@ fn update_delete_with_index_maintenance() {
 
 #[test]
 fn like_concat_and_num() {
-    let mut db = northwind_lite();
+    let db = northwind_lite();
     let q = db
         .query("SELECT name || '@' || city FROM customers WHERE name LIKE '%o%' ORDER BY 1")
         .unwrap();
@@ -188,7 +188,7 @@ fn like_concat_and_num() {
 
 #[test]
 fn division_by_zero_is_runtime_error() {
-    let mut db = northwind_lite();
+    let db = northwind_lite();
     let err = db.query("SELECT 1 / 0").unwrap_err();
     assert!(matches!(err, DbError::Runtime(_)));
 }

@@ -137,7 +137,7 @@ fn falls_back_to_older_valid_snapshot() {
 
     // Recovery lands on snapshot.1 and skips the gen-2 WAL frame (its
     // effects assume a base state we no longer have).
-    let mut db = open_mem(&files).unwrap();
+    let db = open_mem(&files).unwrap();
     let q = db.query("SELECT id FROM t ORDER BY id").unwrap();
     assert_eq!(q.rows, vec![vec![Value::Int(1)]]);
 }
@@ -185,7 +185,7 @@ fn failed_sync_poisons_commit() {
     )))
     .unwrap();
     assert!(db.execute("INSERT INTO t VALUES (1, 'a')").is_err());
-    let mut db = open_mem(&files).unwrap();
+    let db = open_mem(&files).unwrap();
     // The frame bytes may be in the file map, but the fsync never
     // succeeded, so recovery to the pre-statement state is acceptable and
     // recovery to the full statement is too; either way the table must be
@@ -207,7 +207,7 @@ fn file_backend_survives_reopen() {
         db.execute("INSERT INTO t VALUES (2, 'b')").unwrap();
         // No clean shutdown: the second insert lives only in the WAL.
     }
-    let mut db = Database::open(&dir).unwrap();
+    let db = Database::open(&dir).unwrap();
     let q = db.query("SELECT id FROM t ORDER BY id").unwrap();
     assert_eq!(q.rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -273,7 +273,7 @@ proptest! {
         }
 
         // Recover with a clean backend and compare against the model.
-        let mut db = open_mem(&files).unwrap();
+        let db = open_mem(&files).unwrap();
         let q = db.query("SELECT id FROM t ORDER BY id").unwrap();
         let got: Vec<i64> = q
             .rows

@@ -174,39 +174,41 @@ impl MappingScheme for BinaryScheme {
             } else {
                 RecKind::Elem
             };
-            db.query_streaming(
-                &format!("SELECT pre, source, ordinal{value_sel} FROM {tbl} WHERE doc = {doc_id}"),
-                |row| {
-                    recs.push(NodeRec {
-                        pre: row_int(&row, 0).unwrap_or(0),
-                        parent: row_int(&row, 1),
-                        ordinal: row_int(&row, 2).unwrap_or(0),
-                        size: 0,
-                        level: 0,
-                        kind: rec_kind,
-                        name: Some(label.clone()),
-                        value: row.get(3).and_then(|v| v.as_text()).map(str::to_string),
-                    });
-                    Ok(())
-                },
-            )?;
-        }
-        db.query_streaming(
-            &format!("SELECT pre, source, ordinal, value FROM bin_text WHERE doc = {doc_id}"),
-            |row| {
+            db.prepare(&format!(
+                "SELECT pre, source, ordinal{value_sel} FROM {tbl} WHERE doc = {doc_id}"
+            ))?
+            .run(&db.limits, false, |row| {
                 recs.push(NodeRec {
                     pre: row_int(&row, 0).unwrap_or(0),
                     parent: row_int(&row, 1),
                     ordinal: row_int(&row, 2).unwrap_or(0),
                     size: 0,
                     level: 0,
-                    kind: RecKind::Text,
-                    name: None,
-                    value: row_text(&row, 3).map(str::to_string),
+                    kind: rec_kind,
+                    name: Some(label.clone()),
+                    value: row.get(3).and_then(|v| v.as_text()).map(str::to_string),
                 });
                 Ok(())
-            },
-        )?;
+            })
+            .0?;
+        }
+        db.prepare(&format!(
+            "SELECT pre, source, ordinal, value FROM bin_text WHERE doc = {doc_id}"
+        ))?
+        .run(&db.limits, false, |row| {
+            recs.push(NodeRec {
+                pre: row_int(&row, 0).unwrap_or(0),
+                parent: row_int(&row, 1),
+                ordinal: row_int(&row, 2).unwrap_or(0),
+                size: 0,
+                level: 0,
+                kind: RecKind::Text,
+                name: None,
+                value: row_text(&row, 3).map(str::to_string),
+            });
+            Ok(())
+        })
+        .0?;
         rebuild(recs)
     }
 
@@ -271,7 +273,7 @@ mod tests {
 
     #[test]
     fn per_label_scan_is_small() {
-        let (mut db, s) = setup();
+        let (db, s) = setup();
         let t = s.element_table(&db, "title").unwrap().unwrap();
         let q = db.query(&format!("SELECT COUNT(*) FROM {t}")).unwrap();
         assert_eq!(q.scalar(), Some(&Value::Int(1)));
@@ -288,7 +290,7 @@ mod tests {
 
     #[test]
     fn path_query_via_label_tables() {
-        let (mut db, s) = setup();
+        let (db, s) = setup();
         let book = s.element_table(&db, "book").unwrap().unwrap();
         let author = s.element_table(&db, "author").unwrap().unwrap();
         let lastname = s.element_table(&db, "lastname").unwrap().unwrap();

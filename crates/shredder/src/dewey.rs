@@ -133,24 +133,23 @@ impl MappingScheme for DeweyScheme {
         );
         // Assign synthetic pre ids by lexicographic key rank.
         let mut raw: Vec<RawRow> = Vec::new();
-        db.query_streaming(
-            &format!(
-                "SELECT dewey, parent, ordinal, level, kind, name, value \
-                 FROM dnode WHERE doc = {doc_id} ORDER BY dewey"
-            ),
-            |row| {
-                raw.push((
-                    row_text(&row, 0).unwrap_or("").to_string(),
-                    row_text(&row, 1).map(str::to_string),
-                    row_int(&row, 2).unwrap_or(0),
-                    row_int(&row, 3).unwrap_or(0),
-                    row_text(&row, 4).unwrap_or("").to_string(),
-                    row_text(&row, 5).map(str::to_string),
-                    row_text(&row, 6).map(str::to_string),
-                ));
-                Ok(())
-            },
-        )?;
+        db.prepare(&format!(
+            "SELECT dewey, parent, ordinal, level, kind, name, value \
+             FROM dnode WHERE doc = {doc_id} ORDER BY dewey"
+        ))?
+        .run(&db.limits, false, |row| {
+            raw.push((
+                row_text(&row, 0).unwrap_or("").to_string(),
+                row_text(&row, 1).map(str::to_string),
+                row_int(&row, 2).unwrap_or(0),
+                row_int(&row, 3).unwrap_or(0),
+                row_text(&row, 4).unwrap_or("").to_string(),
+                row_text(&row, 5).map(str::to_string),
+                row_text(&row, 6).map(str::to_string),
+            ));
+            Ok(())
+        })
+        .0?;
         let rank: HashMap<&str, i64> = raw
             .iter()
             .enumerate()
@@ -212,7 +211,7 @@ mod tests {
 
     #[test]
     fn lexicographic_order_is_document_order() {
-        let (mut db, _) = setup();
+        let (db, _) = setup();
         let q = db
             .query("SELECT name, kind FROM dnode WHERE doc = 1 ORDER BY dewey")
             .unwrap();
@@ -227,7 +226,7 @@ mod tests {
 
     #[test]
     fn descendant_axis_via_like() {
-        let (mut db, _) = setup();
+        let (db, _) = setup();
         // Text descendants of the first book.
         let q = db
             .query(
@@ -243,7 +242,7 @@ mod tests {
 
     #[test]
     fn child_axis_via_parent_key() {
-        let (mut db, _) = setup();
+        let (db, _) = setup();
         let q = db
             .query(
                 "SELECT c.name FROM dnode p, dnode c \

@@ -36,32 +36,30 @@ pub fn register(db: &mut Database, name: &str) -> Result<i64> {
 /// Find a document id by name.
 pub fn lookup(db: &Database, name: &str) -> Result<Option<i64>> {
     let mut found = None;
-    db.query_streaming(
-        &format!(
-            "SELECT doc FROM {DOCS_TABLE} WHERE name = {}",
-            sql_lit(name)
-        ),
-        |row| {
-            found = row_int(&row, 0);
-            Ok(())
-        },
-    )?;
+    db.prepare(&format!(
+        "SELECT doc FROM {DOCS_TABLE} WHERE name = {}",
+        sql_lit(name)
+    ))?
+    .run(&db.limits, false, |row| {
+        found = row_int(&row, 0);
+        Ok(())
+    })
+    .0?;
     Ok(found)
 }
 
 /// All registered documents.
 pub fn list(db: &Database) -> Result<Vec<DocEntry>> {
     let mut out = Vec::new();
-    db.query_streaming(
-        &format!("SELECT doc, name FROM {DOCS_TABLE} ORDER BY doc"),
-        |row| {
+    db.prepare(&format!("SELECT doc, name FROM {DOCS_TABLE} ORDER BY doc"))?
+        .run(&db.limits, false, |row| {
             out.push(DocEntry {
                 id: row_int(&row, 0).unwrap_or(0),
                 name: row_text(&row, 1).unwrap_or("").to_string(),
             });
             Ok(())
-        },
-    )?;
+        })
+        .0?;
     Ok(out)
 }
 

@@ -102,25 +102,23 @@ impl MappingScheme for EdgeScheme {
 
     fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document> {
         let mut recs = Vec::new();
-        db.query_streaming(
-            &format!(
-                "SELECT source, ordinal, label, kind, target, value FROM edge WHERE doc = {doc_id}"
-            ),
-            |row| {
-                recs.push(NodeRec {
-                    pre: row_int(&row, 4).unwrap_or(0),
-                    parent: row_int(&row, 0),
-                    ordinal: row_int(&row, 1).unwrap_or(0),
-                    size: 0,
-                    level: 0,
-                    kind: RecKind::from_tag(row_text(&row, 3).unwrap_or(""))
-                        .unwrap_or(RecKind::Elem),
-                    name: row_text(&row, 2).map(str::to_string),
-                    value: row_text(&row, 5).map(str::to_string),
-                });
-                Ok(())
-            },
-        )?;
+        db.prepare(&format!(
+            "SELECT source, ordinal, label, kind, target, value FROM edge WHERE doc = {doc_id}"
+        ))?
+        .run(&db.limits, false, |row| {
+            recs.push(NodeRec {
+                pre: row_int(&row, 4).unwrap_or(0),
+                parent: row_int(&row, 0),
+                ordinal: row_int(&row, 1).unwrap_or(0),
+                size: 0,
+                level: 0,
+                kind: RecKind::from_tag(row_text(&row, 3).unwrap_or("")).unwrap_or(RecKind::Elem),
+                name: row_text(&row, 2).map(str::to_string),
+                value: row_text(&row, 5).map(str::to_string),
+            });
+            Ok(())
+        })
+        .0?;
         rebuild(recs)
     }
 

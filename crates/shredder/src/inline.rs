@@ -754,56 +754,56 @@ impl<'a> InlineLoader<'a> {
             } else {
                 format!(", {}", col_list.join(", "))
             };
-            db.query_streaming(
-                &format!(
-                    "SELECT id, parent_id, parent_tbl, parent_path, ord{select} \
-                     FROM {} WHERE doc = {doc_id}",
-                    def.table
-                ),
-                |row| {
-                    let mut values = HashMap::new();
-                    for (i, c) in col_list.iter().enumerate() {
-                        values.insert(c.to_string(), row[5 + i].clone());
-                    }
-                    let loaded = LoadedRow {
-                        id: row_int(&row, 0).unwrap_or(0),
-                        ord: row_int(&row, 4).unwrap_or(0),
-                        values,
-                    };
-                    let key = (
-                        row_text(&row, 2).unwrap_or("").to_string(),
-                        row_int(&row, 1),
-                        row_text(&row, 3).unwrap_or("").to_string(),
-                    );
-                    by_id.insert((def.element.clone(), loaded.id), loaded.clone());
-                    children
-                        .entry(key)
-                        .or_default()
-                        .push((def.element.clone(), loaded));
-                    Ok(())
-                },
-            )?;
+            db.prepare(&format!(
+                "SELECT id, parent_id, parent_tbl, parent_path, ord{select} \
+                 FROM {} WHERE doc = {doc_id}",
+                def.table
+            ))?
+            .run(&db.limits, false, |row| {
+                let mut values = HashMap::new();
+                for (i, c) in col_list.iter().enumerate() {
+                    values.insert(c.to_string(), row[5 + i].clone());
+                }
+                let loaded = LoadedRow {
+                    id: row_int(&row, 0).unwrap_or(0),
+                    ord: row_int(&row, 4).unwrap_or(0),
+                    values,
+                };
+                let key = (
+                    row_text(&row, 2).unwrap_or("").to_string(),
+                    row_int(&row, 1),
+                    row_text(&row, 3).unwrap_or("").to_string(),
+                );
+                by_id.insert((def.element.clone(), loaded.id), loaded.clone());
+                children
+                    .entry(key)
+                    .or_default()
+                    .push((def.element.clone(), loaded));
+                Ok(())
+            })
+            .0?;
         }
         for list in children.values_mut() {
             list.sort_by_key(|(_, r)| (r.ord, r.id));
         }
         let mut texts: HashMap<(String, i64), Vec<(i64, String)>> = HashMap::new();
-        db.query_streaming(
-            &format!("SELECT tbl, parent_id, ord, value FROM inl_text WHERE doc = {doc_id}"),
-            |row| {
-                texts
-                    .entry((
-                        row_text(&row, 0).unwrap_or("").to_string(),
-                        row_int(&row, 1).unwrap_or(0),
-                    ))
-                    .or_default()
-                    .push((
-                        row_int(&row, 2).unwrap_or(0),
-                        row_text(&row, 3).unwrap_or("").to_string(),
-                    ));
-                Ok(())
-            },
-        )?;
+        db.prepare(&format!(
+            "SELECT tbl, parent_id, ord, value FROM inl_text WHERE doc = {doc_id}"
+        ))?
+        .run(&db.limits, false, |row| {
+            texts
+                .entry((
+                    row_text(&row, 0).unwrap_or("").to_string(),
+                    row_int(&row, 1).unwrap_or(0),
+                ))
+                .or_default()
+                .push((
+                    row_int(&row, 2).unwrap_or(0),
+                    row_text(&row, 3).unwrap_or("").to_string(),
+                ));
+            Ok(())
+        })
+        .0?;
         for list in texts.values_mut() {
             list.sort();
         }

@@ -99,26 +99,24 @@ impl MappingScheme for IntervalScheme {
 
     fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document> {
         let mut recs = Vec::new();
-        db.query_streaming(
-            &format!(
-                "SELECT pre, size, level, parent, ordinal, kind, name, value \
-                 FROM inode WHERE doc = {doc_id}"
-            ),
-            |row| {
-                recs.push(NodeRec {
-                    pre: row_int(&row, 0).unwrap_or(0),
-                    size: row_int(&row, 1).unwrap_or(0),
-                    level: row_int(&row, 2).unwrap_or(0),
-                    parent: row_int(&row, 3),
-                    ordinal: row_int(&row, 4).unwrap_or(0),
-                    kind: RecKind::from_tag(row_text(&row, 5).unwrap_or(""))
-                        .unwrap_or(RecKind::Elem),
-                    name: row_text(&row, 6).map(str::to_string),
-                    value: row_text(&row, 7).map(str::to_string),
-                });
-                Ok(())
-            },
-        )?;
+        db.prepare(&format!(
+            "SELECT pre, size, level, parent, ordinal, kind, name, value \
+             FROM inode WHERE doc = {doc_id}"
+        ))?
+        .run(&db.limits, false, |row| {
+            recs.push(NodeRec {
+                pre: row_int(&row, 0).unwrap_or(0),
+                size: row_int(&row, 1).unwrap_or(0),
+                level: row_int(&row, 2).unwrap_or(0),
+                parent: row_int(&row, 3),
+                ordinal: row_int(&row, 4).unwrap_or(0),
+                kind: RecKind::from_tag(row_text(&row, 5).unwrap_or("")).unwrap_or(RecKind::Elem),
+                name: row_text(&row, 6).map(str::to_string),
+                value: row_text(&row, 7).map(str::to_string),
+            });
+            Ok(())
+        })
+        .0?;
         rebuild(recs)
     }
 
@@ -159,7 +157,7 @@ mod tests {
 
     #[test]
     fn descendant_axis_as_range_predicate() {
-        let (mut db, _) = setup_with(XML);
+        let (db, _) = setup_with(XML);
         // //b//text(): descendants of b that are text.
         let q = db
             .query(
@@ -175,7 +173,7 @@ mod tests {
 
     #[test]
     fn child_axis_via_parent_column() {
-        let (mut db, _) = setup_with(XML);
+        let (db, _) = setup_with(XML);
         let q = db
             .query(
                 "SELECT c.name FROM inode p, inode c \
@@ -189,7 +187,7 @@ mod tests {
 
     #[test]
     fn level_column_consistent_with_parent_depth() {
-        let (mut db, _) = setup_with(XML);
+        let (db, _) = setup_with(XML);
         let q = db
             .query(
                 "SELECT COUNT(*) FROM inode c, inode p \
@@ -202,13 +200,13 @@ mod tests {
     #[test]
     fn structural_join_plan_used() {
         let (db, _) = setup_with(XML);
-        let (_, phys) = db
-            .plan_select(
+        let prepared = db
+            .prepare(
                 "SELECT d.name FROM inode a, inode d \
                  WHERE a.name = 'b' AND d.pre > a.pre AND d.pre <= a.pre + a.size",
             )
             .unwrap();
-        let text = reldb::plan::physical::explain_physical(&phys);
+        let text = reldb::plan::physical::explain_physical(prepared.physical());
         assert!(text.contains("IntervalJoin"), "{text}");
     }
 

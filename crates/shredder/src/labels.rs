@@ -49,35 +49,36 @@ impl LabelRegistry {
     /// Look up the table for a label, if assigned.
     pub fn lookup(&self, db: &Database, label: &str, kind: &str) -> Result<Option<String>> {
         let mut found = None;
-        db.query_streaming(
-            &format!(
-                "SELECT tbl FROM {} WHERE label = {} AND kind = {}",
-                self.registry_table(),
-                sql_lit(label),
-                sql_lit(kind)
-            ),
-            |row| {
-                found = row_text(&row, 0).map(str::to_string);
-                Ok(())
-            },
-        )?;
+        db.prepare(&format!(
+            "SELECT tbl FROM {} WHERE label = {} AND kind = {}",
+            self.registry_table(),
+            sql_lit(label),
+            sql_lit(kind)
+        ))?
+        .run(&db.limits, false, |row| {
+            found = row_text(&row, 0).map(str::to_string);
+            Ok(())
+        })
+        .0?;
         Ok(found)
     }
 
     /// All `(label, kind, table)` assignments.
     pub fn all(&self, db: &Database) -> Result<Vec<(String, String, String)>> {
         let mut out = Vec::new();
-        db.query_streaming(
-            &format!("SELECT label, kind, tbl FROM {}", self.registry_table()),
-            |row| {
-                out.push((
-                    row_text(&row, 0).unwrap_or("").to_string(),
-                    row_text(&row, 1).unwrap_or("").to_string(),
-                    row_text(&row, 2).unwrap_or("").to_string(),
-                ));
-                Ok(())
-            },
-        )?;
+        db.prepare(&format!(
+            "SELECT label, kind, tbl FROM {}",
+            self.registry_table()
+        ))?
+        .run(&db.limits, false, |row| {
+            out.push((
+                row_text(&row, 0).unwrap_or("").to_string(),
+                row_text(&row, 1).unwrap_or("").to_string(),
+                row_text(&row, 2).unwrap_or("").to_string(),
+            ));
+            Ok(())
+        })
+        .0?;
         Ok(out)
     }
 

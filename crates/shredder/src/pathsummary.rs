@@ -59,15 +59,14 @@ impl PathSummary {
             None => String::new(),
         };
         let mut out = BTreeSet::new();
-        db.query_streaming(
-            &format!("SELECT path FROM {}{filter}", self.table()),
-            |row| {
+        db.prepare(&format!("SELECT path FROM {}{filter}", self.table()))?
+            .run(&db.limits, false, |row| {
                 if let Some(p) = row_text(&row, 0) {
                     out.insert(p.to_string());
                 }
                 Ok(())
-            },
-        )?;
+            })
+            .0?;
         Ok(out.into_iter().collect())
     }
 

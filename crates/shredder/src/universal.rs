@@ -69,14 +69,16 @@ impl UniversalScheme {
     /// Metadata: label → column-stem assignments.
     pub fn label_columns(&self, db: &Database) -> Result<Vec<LabelCols>> {
         let mut out = Vec::new();
-        db.query_streaming("SELECT label, kind, stem FROM univ_meta", |row| {
-            out.push(LabelCols {
-                label: row_text(&row, 0).unwrap_or("").to_string(),
-                kind: row_text(&row, 1).unwrap_or("").to_string(),
-                stem: row_text(&row, 2).unwrap_or("").to_string(),
-            });
-            Ok(())
-        })?;
+        db.prepare("SELECT label, kind, stem FROM univ_meta")?
+            .run(&db.limits, false, |row| {
+                out.push(LabelCols {
+                    label: row_text(&row, 0).unwrap_or("").to_string(),
+                    kind: row_text(&row, 1).unwrap_or("").to_string(),
+                    stem: row_text(&row, 2).unwrap_or("").to_string(),
+                });
+                Ok(())
+            })
+            .0?;
         Ok(out)
     }
 
@@ -307,56 +309,58 @@ impl MappingScheme for UniversalScheme {
         let mut recs: Vec<NodeRec> = Vec::new();
         // Synthetic unique ids for attribute records (never referenced).
         let mut synth = -1i64;
-        db.query_streaming(&format!("SELECT * FROM univ WHERE doc = {doc_id}"), |row| {
-            let src = row_int(&row, src_col);
-            for (m, &(c1, c2)) in meta.iter().zip(&meta_cols) {
-                if m.kind == "elem" {
-                    let t = row_int(&row, c1);
-                    let o = row_int(&row, c2);
-                    if let (Some(t), Some(o)) = (t, o) {
-                        recs.push(NodeRec {
-                            pre: t,
-                            parent: src,
-                            ordinal: o,
-                            size: 0,
-                            level: 0,
-                            kind: RecKind::Elem,
-                            name: Some(m.label.clone()),
-                            value: None,
-                        });
-                    }
-                } else {
-                    let a = row_text(&row, c1).map(str::to_string);
-                    let ao = row_int(&row, c2);
-                    if let (Some(a), Some(ao)) = (a, ao) {
-                        recs.push(NodeRec {
-                            pre: synth,
-                            parent: src,
-                            ordinal: ao,
-                            size: 0,
-                            level: 0,
-                            kind: RecKind::Attr,
-                            name: Some(m.label.clone()),
-                            value: Some(a),
-                        });
-                        synth -= 1;
+        db.prepare(&format!("SELECT * FROM univ WHERE doc = {doc_id}"))?
+            .run(&db.limits, false, |row| {
+                let src = row_int(&row, src_col);
+                for (m, &(c1, c2)) in meta.iter().zip(&meta_cols) {
+                    if m.kind == "elem" {
+                        let t = row_int(&row, c1);
+                        let o = row_int(&row, c2);
+                        if let (Some(t), Some(o)) = (t, o) {
+                            recs.push(NodeRec {
+                                pre: t,
+                                parent: src,
+                                ordinal: o,
+                                size: 0,
+                                level: 0,
+                                kind: RecKind::Elem,
+                                name: Some(m.label.clone()),
+                                value: None,
+                            });
+                        }
+                    } else {
+                        let a = row_text(&row, c1).map(str::to_string);
+                        let ao = row_int(&row, c2);
+                        if let (Some(a), Some(ao)) = (a, ao) {
+                            recs.push(NodeRec {
+                                pre: synth,
+                                parent: src,
+                                ordinal: ao,
+                                size: 0,
+                                level: 0,
+                                kind: RecKind::Attr,
+                                name: Some(m.label.clone()),
+                                value: Some(a),
+                            });
+                            synth -= 1;
+                        }
                     }
                 }
-            }
-            if let (Some(t), Some(o)) = (row_int(&row, t_text), row_int(&row, o_text)) {
-                recs.push(NodeRec {
-                    pre: t,
-                    parent: src,
-                    ordinal: o,
-                    size: 0,
-                    level: 0,
-                    kind: RecKind::Text,
-                    name: None,
-                    value: row_text(&row, v_text).map(str::to_string),
-                });
-            }
-            Ok(())
-        })?;
+                if let (Some(t), Some(o)) = (row_int(&row, t_text), row_int(&row, o_text)) {
+                    recs.push(NodeRec {
+                        pre: t,
+                        parent: src,
+                        ordinal: o,
+                        size: 0,
+                        level: 0,
+                        kind: RecKind::Text,
+                        name: None,
+                        value: row_text(&row, v_text).map(str::to_string),
+                    });
+                }
+                Ok(())
+            })
+            .0?;
         // The virtual root row produced a root record with parent None.
         rebuild(recs)
     }
@@ -407,7 +411,7 @@ mod tests {
 
     #[test]
     fn repeated_labels_pad_rows() {
-        let (mut db, _) = setup();
+        let (db, _) = setup();
         // The book node has two author children → two rows for its src.
         let q = db.query("SELECT COUNT(*) FROM univ WHERE src = 0").unwrap();
         assert_eq!(q.scalar(), Some(&Value::Int(2)));
@@ -425,7 +429,7 @@ mod tests {
 
     #[test]
     fn sibling_access_without_join() {
-        let (mut db, s) = setup();
+        let (db, s) = setup();
         let fn_stem = s.stem_for(&db, "firstname", "elem").unwrap().unwrap();
         let ln_stem = s.stem_for(&db, "lastname", "elem").unwrap().unwrap();
         // Both children of one author come from ONE row: no self-join.

@@ -32,7 +32,7 @@ fn write(dir: &str) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn read(dir: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let mut db = Database::open(format!("{dir}/db"))?;
+    let db = Database::open(format!("{dir}/db"))?;
     let q = db.query("SELECT id, v FROM t ORDER BY id")?;
     println!("recovered {} rows: {:?}", q.rows.len(), q.rows);
 
