@@ -33,6 +33,7 @@ pub mod sendsync;
 use crate::items::{self, Items};
 use crate::lexer::{self, Tok};
 use std::path::{Path, PathBuf};
+use xmlrel_obs::trace::json_quote;
 
 /// One parsed source file: tokens, items, and the test-region mask (test
 /// code is exempt from all three analyses, like the token rules).
@@ -244,25 +245,24 @@ impl ConcReport {
 
     /// Machine-readable report (`target/conclint.json`).
     pub fn to_json(&self) -> String {
-        let esc = crate::esc_json;
         let mut s = String::from("{\n  \"schema\": \"conclint/v1\",\n  \"sendsync\": [\n");
         for (i, r) in self.roots.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"root\": \"{}\", \"send\": {}, \"sync\": {}, \"chains\": [",
-                esc(&r.root),
+                "    {{\"root\": {}, \"send\": {}, \"sync\": {}, \"chains\": [",
+                json_quote(&r.root),
                 r.is_send(),
                 r.is_sync()
             ));
             for (j, c) in r.chains.iter().enumerate() {
                 s.push_str(&format!(
-                    "\n      {{\"path\": \"{}\", \"type\": \"{}\", \"kills\": \"{}\", \
-                     \"reason\": \"{}\", \"allowlisted\": {}, \"file\": \"{}\", \"line\": {}}}{}",
-                    esc(&c.path),
-                    esc(&c.ty),
+                    "\n      {{\"path\": {}, \"type\": {}, \"kills\": \"{}\", \
+                     \"reason\": {}, \"allowlisted\": {}, \"file\": {}, \"line\": {}}}{}",
+                    json_quote(&c.path),
+                    json_quote(&c.ty),
                     c.kills(),
-                    esc(&c.reason),
+                    json_quote(&c.reason),
                     c.allowlisted,
-                    esc(&c.file),
+                    json_quote(&c.file),
                     c.line,
                     if j + 1 < r.chains.len() { "," } else { "" }
                 ));
@@ -278,19 +278,18 @@ impl ConcReport {
         s.push_str("  ],\n  \"stale_allowlist\": [");
         for (i, e) in self.stale_allowlist.iter().enumerate() {
             s.push_str(&format!(
-                "{}\"{} {}\"",
+                "{}{}",
                 if i > 0 { ", " } else { "" },
-                esc(&e.root),
-                esc(&e.path)
+                json_quote(&format!("{} {}", e.root, e.path))
             ));
         }
         s.push_str("],\n  \"locks\": {\n    \"acquisitions\": [\n");
         for (i, a) in self.locks.sites.iter().enumerate() {
             s.push_str(&format!(
-                "      {{\"lock\": \"{}\", \"fn\": \"{}\", \"file\": \"{}\", \"line\": {}}}{}\n",
-                esc(&a.lock),
-                esc(&a.fn_name),
-                esc(&a.file),
+                "      {{\"lock\": {}, \"fn\": {}, \"file\": {}, \"line\": {}}}{}\n",
+                json_quote(&a.lock),
+                json_quote(&a.fn_name),
+                json_quote(&a.file),
                 a.line,
                 if i + 1 < self.locks.sites.len() {
                     ","
@@ -302,12 +301,12 @@ impl ConcReport {
         s.push_str("    ],\n    \"edges\": [\n");
         for (i, e) in self.locks.edges.iter().enumerate() {
             s.push_str(&format!(
-                "      {{\"from\": \"{}\", \"to\": \"{}\", \"fn\": \"{}\", \"file\": \"{}\", \
+                "      {{\"from\": {}, \"to\": {}, \"fn\": {}, \"file\": {}, \
                  \"line\": {}}}{}\n",
-                esc(&e.from),
-                esc(&e.to),
-                esc(&e.fn_name),
-                esc(&e.file),
+                json_quote(&e.from),
+                json_quote(&e.to),
+                json_quote(&e.fn_name),
+                json_quote(&e.file),
                 e.line,
                 if i + 1 < self.locks.edges.len() {
                     ","
@@ -319,16 +318,16 @@ impl ConcReport {
         s.push_str("    ],\n    \"cycles\": [");
         for (i, c) in self.locks.cycles.iter().enumerate() {
             s.push_str(&format!(
-                "{}\"{}\"",
+                "{}{}",
                 if i > 0 { ", " } else { "" },
-                esc(&c.nodes.join(" -> "))
+                json_quote(&c.nodes.join(" -> "))
             ));
         }
         s.push_str("]\n  },\n  \"atomics\": {\n    \"atomics\": [\n");
         for (i, a) in self.atomics.atomics.iter().enumerate() {
             s.push_str(&format!(
-                "      {{\"id\": \"{}\", \"orderings\": [{}], \"sites\": {}}}{}\n",
-                esc(&a.id),
+                "      {{\"id\": {}, \"orderings\": [{}], \"sites\": {}}}{}\n",
+                json_quote(&a.id),
                 a.orderings
                     .iter()
                     .map(|o| format!("\"{o}\""))
@@ -345,10 +344,10 @@ impl ConcReport {
         s.push_str("    ],\n    \"findings\": [\n");
         for (i, f) in self.atomics.findings.iter().enumerate() {
             s.push_str(&format!(
-                "      {{\"kind\": \"{}\", \"id\": \"{}\", \"message\": \"{}\"}}{}\n",
-                esc(&f.kind),
-                esc(&f.id),
-                esc(&f.message),
+                "      {{\"kind\": {}, \"id\": {}, \"message\": {}}}{}\n",
+                json_quote(&f.kind),
+                json_quote(&f.id),
+                json_quote(&f.message),
                 if i + 1 < self.atomics.findings.len() {
                     ","
                 } else {

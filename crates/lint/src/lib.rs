@@ -48,6 +48,7 @@ pub mod sqlflow;
 pub use rules::{check, Violation, RULES};
 
 use std::path::{Path, PathBuf};
+use xmlrel_obs::trace::json_quote;
 
 /// Lint a single source string.
 pub fn lint_source(file: &str, src: &str) -> Vec<Violation> {
@@ -58,9 +59,9 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Violation> {
 /// library-code rules.
 const SKIP_DIRS: &[&str] = &["tests", "benches", "examples", "fixtures", "target"];
 
-/// Vendored dependency shims and the bench harness: not project library
-/// code, so not linted by default.
-const SKIP_CRATES: &[&str] = &["rand", "proptest", "criterion", "bench"];
+/// Vendored dependency shims: not project library code, so not linted by
+/// default.
+const SKIP_CRATES: &[&str] = &["rand", "proptest"];
 
 /// Collect the `.rs` files under `root` that the linter should scan.
 pub fn collect_files(root: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -111,35 +112,17 @@ pub fn lint_paths(roots: &[PathBuf]) -> std::io::Result<Vec<Violation>> {
     Ok(out)
 }
 
-/// Escape a string for embedding in a JSON string literal. Shared by the
-/// violation report and the conclint report emitters.
-pub(crate) fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render violations as a JSON array (machine-readable report). No serde:
 /// the fields are simple enough to emit by hand.
 pub fn to_json(violations: &[Violation]) -> String {
-    let esc = esc_json;
     let mut s = String::from("[\n");
     for (i, v) in violations.iter().enumerate() {
         s.push_str(&format!(
-            "  {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}{}\n",
-            esc(&v.file),
+            "  {{\"file\": {}, \"line\": {}, \"rule\": \"{}\", \"message\": {}}}{}\n",
+            json_quote(&v.file),
             v.line,
             v.rule,
-            esc(&v.message),
+            json_quote(&v.message),
             if i + 1 < violations.len() { "," } else { "" }
         ));
     }

@@ -30,6 +30,7 @@ pub mod strings;
 pub mod taint;
 
 use crate::conc::{AllowEntry, Allowlist, Workspace};
+use xmlrel_obs::trace::json_quote;
 
 /// Workspace-relative form of a scanned path, so allowlist keys and flow
 /// chains are stable across checkouts: everything from the `crates/` (or
@@ -176,25 +177,24 @@ impl SqlReport {
 
     /// Machine-readable report (`target/sqllint.json`).
     pub fn to_json(&self) -> String {
-        let esc = crate::esc_json;
         let mut s = String::from("{\n  \"schema\": \"sqllint/v1\",\n  \"flows\": [");
         for (i, f) in self.flows.iter().enumerate() {
             s.push_str(&format!(
-                "\n    {{\"file\": \"{}\", \"fn\": \"{}\", \"source\": \"{}\", \
-                 \"source_line\": {}, \"sink\": \"{}\", \"sink_line\": {}, \
+                "\n    {{\"file\": {}, \"fn\": {}, \"source\": {}, \
+                 \"source_line\": {}, \"sink\": {}, \"sink_line\": {}, \
                  \"allowlisted\": {}, \"chain\": [",
-                esc(&f.file),
-                esc(&f.fn_name),
-                esc(&f.source),
+                json_quote(&f.file),
+                json_quote(&f.fn_name),
+                json_quote(&f.source),
                 f.source_line,
-                esc(&f.sink),
+                json_quote(&f.sink),
                 f.sink_line,
                 f.allowlisted
             ));
             for (j, step) in f.chain.iter().enumerate() {
                 s.push_str(&format!(
-                    "\n      \"{}\"{}",
-                    esc(step),
+                    "\n      {}{}",
+                    json_quote(step),
                     if j + 1 < f.chain.len() { "," } else { "" }
                 ));
             }
@@ -206,12 +206,12 @@ impl SqlReport {
         s.push_str("\n  ],\n  \"const_sql\": [");
         for (i, f) in self.const_findings.iter().enumerate() {
             s.push_str(&format!(
-                "\n    {{\"file\": \"{}\", \"line\": {}, \"error\": \"{}\", \
-                 \"folded\": \"{}\", \"allowlisted\": {}}}{}",
-                esc(&f.file),
+                "\n    {{\"file\": {}, \"line\": {}, \"error\": {}, \
+                 \"folded\": {}, \"allowlisted\": {}}}{}",
+                json_quote(&f.file),
                 f.line,
-                esc(&f.error),
-                esc(&f.folded),
+                json_quote(&f.error),
+                json_quote(&f.folded),
                 f.allowlisted,
                 if i + 1 < self.const_findings.len() {
                     ","
@@ -223,13 +223,13 @@ impl SqlReport {
         s.push_str("\n  ],\n  \"idents\": [");
         for (i, f) in self.ident_findings.iter().enumerate() {
             s.push_str(&format!(
-                "\n    {{\"file\": \"{}\", \"line\": {}, \"kind\": \"{}\", \
-                 \"name\": \"{}\", \"table\": \"{}\", \"allowlisted\": {}}}{}",
-                esc(&f.file),
+                "\n    {{\"file\": {}, \"line\": {}, \"kind\": \"{}\", \
+                 \"name\": {}, \"table\": {}, \"allowlisted\": {}}}{}",
+                json_quote(&f.file),
                 f.line,
                 f.kind,
-                esc(&f.name),
-                esc(&f.table),
+                json_quote(&f.name),
+                json_quote(&f.table),
                 f.allowlisted,
                 if i + 1 < self.ident_findings.len() {
                     ","
@@ -241,9 +241,9 @@ impl SqlReport {
         s.push_str("\n  ],\n  \"stale_allowlist\": [");
         for (i, e) in self.stale_allowlist.iter().enumerate() {
             s.push_str(&format!(
-                "\n    {{\"kind\": \"{}\", \"key\": \"{}\"}}{}",
-                esc(&e.root),
-                esc(&e.path),
+                "\n    {{\"kind\": {}, \"key\": {}}}{}",
+                json_quote(&e.root),
+                json_quote(&e.path),
                 if i + 1 < self.stale_allowlist.len() {
                     ","
                 } else {

@@ -10,12 +10,15 @@
 //!    lock inversion, a load…store RMW, mixed orderings — must each fail
 //!    with a diagnostic naming the offending path/site.
 //! 3. **Report schema**: the lint and conclint JSON reports must round-trip
-//!    through the monitoring endpoint's JSON parser (`xmlrel-obs-report`),
-//!    so CI artifacts stay machine-readable.
+//!    through an independent JSON parser (`support/json.rs`), so CI
+//!    artifacts stay machine-readable.
 
+#[path = "support/json.rs"]
+mod json;
+
+use json::Json;
 use lint::conc::{self, Allowlist, Workspace};
 use std::path::PathBuf;
-use xmlrel_obs_report::json::{self, Json};
 
 /// The workspace root, from this crate's manifest dir (crates/lint).
 fn workspace_root() -> PathBuf {
@@ -244,11 +247,11 @@ fn unallowlisted_entry_fails_but_allowlisted_passes() {
 // ---- report schema round-trips ---------------------------------------------
 
 fn parse_json(text: &str) -> Json {
-    json::parse(text).expect("report must parse with the obs-report JSON parser")
+    json::parse(text).expect("report must parse as JSON")
 }
 
 #[test]
-fn conclint_report_roundtrips_through_obs_json_parser() {
+fn conclint_report_roundtrips_through_json_parser() {
     let report = real_report();
     let parsed = parse_json(&report.to_json());
     assert_eq!(
@@ -290,7 +293,7 @@ fn conclint_report_roundtrips_through_obs_json_parser() {
 }
 
 #[test]
-fn lint_violation_report_roundtrips_through_obs_json_parser() {
+fn lint_violation_report_roundtrips_through_json_parser() {
     let violations = lint::lint_source(
         "bad.rs",
         "fn f(rows: &[u64]) -> u64 { rows[0] + path(\"a\\\"b\").unwrap() }",

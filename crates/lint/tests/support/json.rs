@@ -1,7 +1,8 @@
-//! A minimal recursive-descent JSON parser — just enough to read the
-//! hand-rolled `BENCH_*.json` files `xmlrel-bench` emits (the workspace is
-//! offline; no serde). Numbers parse as `f64`; object keys keep file
-//! order.
+//! A minimal recursive-descent JSON parser for the report schema tests:
+//! the lint, conclint and sqllint reports are emitted by hand (the
+//! workspace is offline; no serde), so the tests read them back with a
+//! parser that shares no code with the emitters. Numbers parse as `f64`;
+//! object keys keep file order.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,14 +34,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -234,7 +227,7 @@ impl<'a> Parser<'a> {
                     Some(c) => return Err(format!("bad escape \\{}", c as char)),
                     None => return Err("unterminated string".into()),
                 },
-                // The bench files are ASCII, but pass UTF-8 through
+                // Reports are mostly ASCII, but pass UTF-8 through
                 // byte-wise: continuation bytes re-assemble because we
                 // copy them verbatim.
                 Some(b) if b < 0x80 => out.push(b as char),

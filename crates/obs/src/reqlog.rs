@@ -290,17 +290,6 @@ impl FlightRecorder {
         out
     }
 
-    /// The access log as retained: one line per summary, oldest first.
-    pub fn access_log(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::new();
-        for s in &inner.entries {
-            out.push_str(&s.access_log_line());
-            out.push('\n');
-        }
-        out
-    }
-
     /// `/stats` body: aggregate view over the retained ring plus the
     /// live contention gauges — latency percentiles (from a pow2
     /// histogram over ring totals), per-phase sums, status counts,

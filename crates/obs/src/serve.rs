@@ -302,22 +302,6 @@ impl MonitorHandle {
         self.cancel.clone()
     }
 
-    /// A clone-shared handle onto the server's request flight recorder
-    /// (the ring behind `/stats` and `/debug/requests`).
-    pub fn recorder(&self) -> FlightRecorder {
-        self.recorder.clone()
-    }
-
-    /// The current `/stats` body, for embedders exporting snapshots.
-    pub fn stats_json(&self) -> String {
-        self.recorder.stats_json()
-    }
-
-    /// The retained access log, one line per recorded request.
-    pub fn access_log(&self) -> String {
-        self.recorder.access_log()
-    }
-
     /// Gracefully stop: stop accepting, drain in-flight requests up to
     /// the drain deadline, cancel stragglers, and join the server
     /// thread. The report says how many in-flight requests finished on

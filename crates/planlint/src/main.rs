@@ -21,6 +21,7 @@ use xmlgen::auction::{generate as gen_auction, AuctionConfig, AUCTION_DTD};
 use xmlgen::dblp::{generate as gen_dblp, DblpConfig, DBLP_DTD};
 use xmlgen::queries::{WorkloadQuery, AUCTION_QUERIES, DBLP_QUERIES};
 use xmlrel_core::{PlanReport, Scheme, XmlStore};
+use xmlrel_obs::trace::json_quote;
 
 /// The experiment slices the golden-plan gate pins (ISSUE: E3/E4/E5/E6/E11).
 const EXPERIMENTS: &[(&str, &str, &[&str])] = &[
@@ -254,13 +255,13 @@ fn to_json(findings: &[Finding], checked: usize) -> String {
             s.push(',');
         }
         s.push_str("\n    {");
-        s.push_str(&format!("\"experiment\": {}, ", quote(f.experiment)));
-        s.push_str(&format!("\"scheme\": {}, ", quote(f.scheme)));
-        s.push_str(&format!("\"query_id\": {}, ", quote(f.query_id)));
-        s.push_str(&format!("\"query\": {}, ", quote(f.query)));
-        s.push_str(&format!("\"rule\": {}, ", quote(&f.rule)));
-        s.push_str(&format!("\"node\": {}, ", quote(&f.node)));
-        s.push_str(&format!("\"message\": {}", quote(&f.message)));
+        s.push_str(&format!("\"experiment\": {}, ", json_quote(f.experiment)));
+        s.push_str(&format!("\"scheme\": {}, ", json_quote(f.scheme)));
+        s.push_str(&format!("\"query_id\": {}, ", json_quote(f.query_id)));
+        s.push_str(&format!("\"query\": {}, ", json_quote(f.query)));
+        s.push_str(&format!("\"rule\": {}, ", json_quote(&f.rule)));
+        s.push_str(&format!("\"node\": {}, ", json_quote(&f.node)));
+        s.push_str(&format!("\"message\": {}", json_quote(&f.message)));
         s.push('}');
     }
     if !findings.is_empty() {
@@ -268,21 +269,4 @@ fn to_json(findings: &[Finding], checked: usize) -> String {
     }
     s.push_str("]\n}");
     s
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

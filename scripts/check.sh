@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, the workspace linter,
-# the plan-quality gate, clippy, and the whole test suite. Run from
-# anywhere; operates on the repository root. Each step names itself so a
-# failure is attributable at a glance.
+# the plan-quality gate, clippy, the whole test suite, and the benchmark's
+# own tests (every workload run once plain and once traced, answers
+# checked). Run from anywhere; operates on the repository root. Each step
+# names itself so a failure is attributable at a glance.
+#
+# Wall-clock performance is not gated here: `benchmark/run.sh` is the one
+# perf harness, and plan or cost regressions fail tests/golden_plans.rs.
 #
 # All cargo invocations run --locked: the container is offline and the
 # lockfile is the only dependency truth, so a drifted Cargo.toml fails
@@ -47,36 +51,15 @@ sqllint() {
     fi
 }
 
-bench_driver() {
-    cargo run -q --locked --release -p xmlrel-bench -- \
-        --out target/BENCH.json --trace target/trace.json \
-        --metrics target/metrics.txt --scale 0.1 \
-        --access-log target/access.log --stats target/stats.json
-}
-
-# Bench-trajectory gate: the fresh run must not regress against the
-# committed baseline. Thresholds are loose (5x, 20ms) because the baseline
-# was recorded on different hardware; a real regression (quadratic join,
-# lost index) blows past both, machine noise does not. The same step
-# checks the fresh run's throughput-under-contention rows: aggregate qps
-# at 8 client threads must reach min(3.0, 0.8 x cores) times the
-# single-thread qps, so a reintroduced serialization point in the
-# concurrent serving path fails here on any hardware.
-bench_trajectory() {
-    cargo run -q --locked --release -p xmlrel-obs-report -- \
-        --threshold 5 --min-us 20000 BENCH_BASELINE.json target/BENCH.json
-}
-
 step "cargo fmt --check"  cargo fmt --all --check
 step "release build"      cargo build --release --locked
 step "xmlrel-lint"        cargo run -q --locked -p lint -- --out target/lint.json
 step "conclint"           conclint
 step "sqllint"            sqllint
 step "planlint"           planlint
-step "bench driver"       bench_driver
-step "bench trajectory"   bench_trajectory
 step "clippy"             cargo clippy --workspace --all-targets --locked -- -D warnings
 step "tests"              cargo test -q --workspace --locked
+step "benchmark tests"    cargo test -q --manifest-path benchmark/Cargo.toml --offline --locked
 
 if [ "${failed}" -ne 0 ]; then
     echo "check.sh: one or more steps failed" >&2
