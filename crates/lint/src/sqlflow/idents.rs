@@ -124,11 +124,6 @@ impl Checker<'_> {
                     }
                 }
             }
-            Statement::DropTable { name, if_exists } => {
-                if !if_exists {
-                    self.table_known(name);
-                }
-            }
             Statement::Insert { table, columns, .. } => {
                 if self.table_known(table) {
                     for c in columns.iter().flatten() {
@@ -175,13 +170,7 @@ impl Checker<'_> {
                 self.expr(expr, &scope);
             }
         }
-        for e in s
-            .predicate
-            .iter()
-            .chain(s.group_by.iter())
-            .chain(s.having.iter())
-            .chain(s.order_by.iter().map(|(e, _)| e))
-        {
+        for e in s.predicate.iter().chain(s.order_by.iter().map(|(e, _)| e)) {
             self.expr(e, &scope);
         }
         if let Some(u) = &s.union_all {
@@ -195,7 +184,6 @@ impl Checker<'_> {
                 let known = self.table_known(name);
                 scope.add(alias.as_deref().unwrap_or(name), name, known);
             }
-            TableRef::Subquery { query, .. } => self.select(query),
             TableRef::Join {
                 left, right, on, ..
             } => {
@@ -222,8 +210,8 @@ impl Checker<'_> {
                             let table = table.to_string();
                             self.column(&table, name);
                         }
-                        // Unknown qualifier: dynamic table or subquery
-                        // alias — nothing to check against.
+                        // Unknown qualifier: dynamic table — nothing to
+                        // check against.
                     }
                     None => {
                         if let Some(table) = scope.sole_known_table() {
@@ -244,20 +232,18 @@ impl Checker<'_> {
                 }
             }
             Expr::IsNull { expr, .. } => self.expr(expr, scope),
-            Expr::Between {
-                expr, low, high, ..
-            } => {
+            Expr::Between { expr, low, high } => {
                 self.expr(expr, scope);
                 self.expr(low, scope);
                 self.expr(high, scope);
             }
-            Expr::InList { expr, list, .. } => {
+            Expr::InList { expr, list } => {
                 self.expr(expr, scope);
                 for e in list {
                     self.expr(e, scope);
                 }
             }
-            Expr::Like { expr, pattern, .. } => {
+            Expr::Like { expr, pattern } => {
                 self.expr(expr, scope);
                 self.expr(pattern, scope);
             }

@@ -1,202 +1,66 @@
-//! Hash aggregation.
+//! Single-group aggregation (`COUNT`, `MAX`; the subset has no GROUP BY).
 
-use std::collections::HashMap;
-
-use crate::error::{DbError, Result};
+use crate::error::Result;
 use crate::exec::{Executor, Meter};
 use crate::plan::expr::{AggFunc, ScalarExpr};
 use crate::value::{Row, Value};
 
-/// Accumulator for one aggregate over one group.
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    Sum { acc: Option<Value>, count: i64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl AggState {
-    fn new(func: AggFunc) -> AggState {
-        match func {
-            AggFunc::Count | AggFunc::CountStar => AggState::Count(0),
-            AggFunc::Sum | AggFunc::Avg => AggState::Sum {
-                acc: None,
-                count: 0,
-            },
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-        }
-    }
-
-    fn update(&mut self, v: Option<Value>) -> Result<()> {
-        match self {
-            AggState::Count(n) => {
-                // COUNT(*) gets None for "no argument": always counts.
-                // COUNT(e) gets Some(v): counts non-NULL.
-                match v {
-                    None => *n += 1,
-                    Some(val) if !val.is_null() => *n += 1,
-                    _ => {}
-                }
-            }
-            AggState::Sum { acc, count } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        *count += 1;
-                        *acc = Some(match acc.take() {
-                            None => val,
-                            Some(prev) => add(prev, val)?,
-                        });
-                    }
-                }
-            }
-            AggState::Min(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null() && cur.as_ref().map(|c| val < *c).unwrap_or(true) {
-                        *cur = Some(val);
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null() && cur.as_ref().map(|c| val > *c).unwrap_or(true) {
-                        *cur = Some(val);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self, func: AggFunc) -> Value {
-        match (func, self) {
-            (AggFunc::Count | AggFunc::CountStar, AggState::Count(n)) => Value::Int(n),
-            (AggFunc::Sum, AggState::Sum { acc, .. }) => acc.unwrap_or(Value::Null),
-            (AggFunc::Avg, AggState::Sum { acc, count }) => match acc {
-                Some(v) if count > 0 => Value::Float(v.as_float().unwrap_or(0.0) / count as f64),
-                _ => Value::Null,
-            },
-            (AggFunc::Min, AggState::Min(v)) | (AggFunc::Max, AggState::Max(v)) => {
-                v.unwrap_or(Value::Null)
-            }
-            _ => Value::Null,
-        }
-    }
-}
-
-fn add(a: Value, b: Value) -> Result<Value> {
-    match (&a, &b) {
-        (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_add(*y))),
-        _ => {
-            let x = a
-                .as_float()
-                .ok_or_else(|| DbError::Type(format!("SUM over non-number {a}")))?;
-            let y = b
-                .as_float()
-                .ok_or_else(|| DbError::Type(format!("SUM over non-number {b}")))?;
-            Ok(Value::Float(x + y))
-        }
-    }
-}
-
-/// Hash-aggregate operator: consumes its input at first `next()`.
+/// Aggregate operator: consumes its input at first `next()` and emits
+/// exactly one row, even over an empty input.
 pub struct HashAggregateExec<'a> {
     input: Option<Box<dyn Executor + 'a>>,
-    group_by: &'a [ScalarExpr],
     aggs: &'a [(AggFunc, Option<ScalarExpr>)],
-    output: Vec<Row>,
-    pos: usize,
     meter: Meter,
 }
 
 impl<'a> HashAggregateExec<'a> {
-    /// Create the operator. `meter` carries the intermediate-row cap
-    /// bounding the number of distinct groups.
+    /// Create the operator.
     pub fn new(
         input: Box<dyn Executor + 'a>,
-        group_by: &'a [ScalarExpr],
         aggs: &'a [(AggFunc, Option<ScalarExpr>)],
         meter: Meter,
     ) -> HashAggregateExec<'a> {
         HashAggregateExec {
             input: Some(input),
-            group_by,
             aggs,
-            output: Vec::new(),
-            pos: 0,
             meter,
         }
-    }
-
-    fn consume(&mut self) -> Result<()> {
-        let Some(mut input) = self.input.take() else {
-            return Ok(());
-        };
-        // Group order = first-seen order (deterministic given the input).
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-        while let Some(row) = input.next()? {
-            self.meter.poll("HashAggregate")?;
-            let mut key = Vec::with_capacity(self.group_by.len());
-            for g in self.group_by {
-                key.push(g.eval(&row)?);
-            }
-            self.meter.probe();
-            let states = match groups.get_mut(&key) {
-                Some(s) => s,
-                None => {
-                    self.meter.buffered_row(&key);
-                    order.push(key.clone());
-                    self.meter.admit("HashAggregate groups", order.len())?;
-                    groups.entry(key.clone()).or_insert_with(|| {
-                        self.aggs.iter().map(|(f, _)| AggState::new(*f)).collect()
-                    })
-                }
-            };
-            for (i, (_, arg)) in self.aggs.iter().enumerate() {
-                let v = match arg {
-                    Some(e) => Some(e.eval(&row)?),
-                    None => None,
-                };
-                states[i].update(v)?;
-            }
-        }
-        // Global aggregate over an empty input still emits one row.
-        if groups.is_empty() && self.group_by.is_empty() {
-            let row: Row = self
-                .aggs
-                .iter()
-                .map(|(f, _)| AggState::new(*f).finish(*f))
-                .collect();
-            self.output.push(row);
-            return Ok(());
-        }
-        for key in order {
-            let states = groups.remove(&key).ok_or_else(|| {
-                DbError::Runtime("aggregate group vanished between passes".into())
-            })?;
-            let mut row = key;
-            for (state, (f, _)) in states.into_iter().zip(self.aggs) {
-                row.push(state.finish(*f));
-            }
-            self.output.push(row);
-        }
-        Ok(())
     }
 }
 
 impl Executor for HashAggregateExec<'_> {
     fn next(&mut self) -> Result<Option<Row>> {
-        if self.input.is_some() {
-            self.consume()?;
+        let Some(mut input) = self.input.take() else {
+            return Ok(None);
+        };
+        // COUNT starts at 0; MAX starts at NULL.
+        let mut acc: Row = self
+            .aggs
+            .iter()
+            .map(|(f, _)| match f {
+                AggFunc::CountStar | AggFunc::Count => Value::Int(0),
+                AggFunc::Max => Value::Null,
+            })
+            .collect();
+        while let Some(row) = input.next()? {
+            self.meter.poll("HashAggregate")?;
+            for (slot, (func, arg)) in acc.iter_mut().zip(self.aggs) {
+                // COUNT(*) has no argument and counts every row; COUNT(e)
+                // and MAX(e) skip NULLs.
+                let v = match arg {
+                    Some(e) => e.eval(&row)?,
+                    None => Value::Bool(true),
+                };
+                if v.is_null() {
+                    continue;
+                }
+                match (func, slot) {
+                    (AggFunc::CountStar | AggFunc::Count, Value::Int(n)) => *n += 1,
+                    (AggFunc::Max, cur) if cur.is_null() || v > *cur => *cur = v,
+                    _ => {}
+                }
+            }
         }
-        if self.pos < self.output.len() {
-            let r = std::mem::take(&mut self.output[self.pos]);
-            self.pos += 1;
-            Ok(Some(r))
-        } else {
-            Ok(None)
-        }
+        Ok(Some(acc))
     }
 }

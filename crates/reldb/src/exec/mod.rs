@@ -77,8 +77,8 @@ pub struct ExecLimits {
     /// Cap on rows materialized into a query result.
     pub max_rows: Option<usize>,
     /// Cap on rows buffered inside any single materializing operator
-    /// (sort buffers, hash-join build sides, nested-loop inner rows,
-    /// aggregate groups, DISTINCT sets).
+    /// (sort buffers, hash-join build sides, nested-loop and interval-join
+    /// inner rows, DISTINCT sets).
     pub max_intermediate_rows: Option<usize>,
     /// Wall-clock deadline for the whole execution; polled inside every
     /// blocking operator loop.
@@ -326,24 +326,12 @@ fn build_node<'a>(
                 pos: 0,
                 meter: meter.clone(),
             }),
-            PhysicalPlan::HashAggregate {
-                input,
-                group_by,
-                aggs,
-            } => Box::new(HashAggregateExec::new(
-                build(input)?,
-                group_by,
-                aggs,
-                meter.clone(),
-            )),
-            PhysicalPlan::Limit {
-                input,
-                limit,
-                offset,
-            } => Box::new(LimitExec {
+            PhysicalPlan::HashAggregate { input, aggs } => {
+                Box::new(HashAggregateExec::new(build(input)?, aggs, meter.clone()))
+            }
+            PhysicalPlan::Limit { input, limit } => Box::new(LimitExec {
                 input: build(input)?,
-                remaining: limit.map(|l| l as usize),
-                to_skip: *offset as usize,
+                remaining: *limit,
             }),
             PhysicalPlan::Distinct { input } => Box::new(DistinctExec {
                 input: build(input)?,
@@ -538,24 +526,15 @@ impl Executor for SortExec<'_> {
 
 struct LimitExec<'a> {
     input: Box<dyn Executor + 'a>,
-    remaining: Option<usize>,
-    to_skip: usize,
+    remaining: u64,
 }
 
 impl Executor for LimitExec<'_> {
     fn next(&mut self) -> Result<Option<Row>> {
-        while self.to_skip > 0 {
-            if self.input.next()?.is_none() {
-                return Ok(None);
-            }
-            self.to_skip -= 1;
+        if self.remaining == 0 {
+            return Ok(None);
         }
-        if let Some(rem) = &mut self.remaining {
-            if *rem == 0 {
-                return Ok(None);
-            }
-            *rem -= 1;
-        }
+        self.remaining -= 1;
         self.input.next()
     }
 }

@@ -5,8 +5,9 @@
 //! shredded XML relations, indexes, and the SQL produced by the
 //! XPath-to-SQL translator all execute here.
 //!
-//! Features: a SQL subset (`CREATE TABLE/INDEX`, `INSERT`, `SELECT` with
-//! joins / grouping / ordering / `UNION ALL`, `DELETE`, `UPDATE`), a
+//! Features: the SQL subset the translators and shredders emit (`CREATE
+//! TABLE/INDEX`, `INSERT`, `SELECT` with joins / single-group `COUNT` and
+//! `MAX` / ordering / `LIMIT` / `UNION ALL`, `DELETE`, `UPDATE`), a
 //! from-scratch B+-tree for primary and secondary indexes, a volcano-style
 //! executor, and a heuristic optimizer (predicate pushdown, join
 //! reordering, index selection, hash / index-nested-loop / structural

@@ -20,8 +20,8 @@
 //! Findings reuse [`Diagnostic`]: severity, stable rule name, and a
 //! node-path provenance string (`Project > HashJoin > SeqScan edge`). On a
 //! healthy plan — default optimizer knobs, the indexes the mapping schemes
-//! create — every rule is silent; `planlint` enforces exactly that over
-//! the benchmark workload.
+//! create — every rule is silent; `tests/golden_plans.rs` pins exactly
+//! that over the benchmark workload.
 
 use crate::catalog::Catalog;
 use crate::plan::cost;

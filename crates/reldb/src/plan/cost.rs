@@ -215,11 +215,8 @@ pub fn estimate(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
         LogicalPlan::Project { input, .. }
         | LogicalPlan::Sort { input, .. }
         | LogicalPlan::Distinct { input } => estimate(input, catalog),
-        LogicalPlan::Limit { input, limit, .. } => {
-            let base = estimate(input, catalog);
-            limit.map(|l| base.min(l as f64)).unwrap_or(base)
-        }
-        LogicalPlan::Aggregate { input, .. } => estimate(input, catalog).sqrt().max(1.0),
+        LogicalPlan::Limit { input, limit } => estimate(input, catalog).min(*limit as f64),
+        LogicalPlan::Aggregate { .. } => 1.0,
         LogicalPlan::Join {
             left,
             right,
@@ -277,11 +274,11 @@ pub fn cost_logical(plan: &LogicalPlan, catalog: &Catalog) -> Cost {
             LogicalPlan::Sort { input, .. } | LogicalPlan::Distinct { input } => {
                 walk(input, catalog, acc)
             }
-            LogicalPlan::Limit { input, limit, .. } => {
-                let base = walk(input, catalog, acc);
-                limit.map(|l| base.min(l as f64)).unwrap_or(base)
+            LogicalPlan::Limit { input, limit } => walk(input, catalog, acc).min(*limit as f64),
+            LogicalPlan::Aggregate { input, .. } => {
+                walk(input, catalog, acc);
+                1.0
             }
-            LogicalPlan::Aggregate { input, .. } => walk(input, catalog, acc).sqrt().max(1.0),
             LogicalPlan::UnionAll { inputs } => inputs.iter().map(|p| walk(p, catalog, acc)).sum(),
             _ => estimate(plan, catalog),
         };
@@ -581,36 +578,19 @@ fn cost_node(catalog: &Catalog, plan: &PhysicalPlan) -> CostNode {
                 children: vec![child],
             }
         }
-        PhysicalPlan::HashAggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
+        PhysicalPlan::HashAggregate { input, aggs } => {
             let child = cost_node(catalog, input);
-            let rows = child.cost.rows.sqrt().max(1.0);
-            let mut cost = Cost::rows(rows).absorb(&child.cost);
-            cost.sorted += child.cost.rows;
             CostNode {
-                label: format!(
-                    "HashAggregate groups={} aggs={}",
-                    group_by.len(),
-                    aggs.len()
-                ),
-                cost,
+                label: format!("HashAggregate aggs={}", aggs.len()),
+                cost: Cost::rows(1.0).absorb(&child.cost),
                 children: vec![child],
             }
         }
-        PhysicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
+        PhysicalPlan::Limit { input, limit } => {
             let child = cost_node(catalog, input);
-            let rows = limit
-                .map(|l| child.cost.rows.min(l as f64))
-                .unwrap_or(child.cost.rows);
+            let rows = child.cost.rows.min(*limit as f64);
             CostNode {
-                label: format!("Limit {limit:?} offset={offset}"),
+                label: format!("Limit {limit}"),
                 cost: Cost::rows(rows).absorb(&child.cost),
                 children: vec![child],
             }

@@ -15,18 +15,6 @@ use crate::value::{Row, Value};
 /// Scalar function in the implemented subset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalarFunc {
-    /// `LOWER(t)`
-    Lower,
-    /// `UPPER(t)`
-    Upper,
-    /// `LENGTH(t)`
-    Length,
-    /// `ABS(n)`
-    Abs,
-    /// `SUBSTR(t, start[, len])` — 1-based.
-    Substr,
-    /// `COALESCE(a, b, ...)`
-    Coalesce,
     /// `NUM(t)` — parse text as a number (NULL when not numeric). The
     /// XPath-to-SQL translator uses this to compare TEXT-stored XML values
     /// numerically.
@@ -36,34 +24,19 @@ pub enum ScalarFunc {
 impl ScalarFunc {
     /// Resolve by (lowercase) name.
     pub fn by_name(name: &str) -> Option<ScalarFunc> {
-        Some(match name {
-            "lower" => ScalarFunc::Lower,
-            "upper" => ScalarFunc::Upper,
-            "length" => ScalarFunc::Length,
-            "abs" => ScalarFunc::Abs,
-            "substr" | "substring" => ScalarFunc::Substr,
-            "coalesce" => ScalarFunc::Coalesce,
-            "num" => ScalarFunc::Num,
-            _ => return None,
-        })
+        (name == "num").then_some(ScalarFunc::Num)
     }
 }
 
-/// Aggregate function.
+/// Aggregate function (single group: the subset has no GROUP BY).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     /// `COUNT(*)`
     CountStar,
     /// `COUNT(e)` — non-NULL count.
     Count,
-    /// `SUM(e)`
-    Sum,
-    /// `MIN(e)`
-    Min,
     /// `MAX(e)`
     Max,
-    /// `AVG(e)`
-    Avg,
 }
 
 impl AggFunc {
@@ -71,10 +44,7 @@ impl AggFunc {
     pub fn by_name(name: &str) -> Option<AggFunc> {
         Some(match name {
             "count" => AggFunc::Count,
-            "sum" => AggFunc::Sum,
-            "min" => AggFunc::Min,
             "max" => AggFunc::Max,
-            "avg" => AggFunc::Avg,
             _ => return None,
         })
     }
@@ -117,7 +87,7 @@ pub enum ScalarExpr {
         /// Negated form.
         negated: bool,
     },
-    /// `[NOT] BETWEEN`.
+    /// `BETWEEN`.
     Between {
         /// Tested expression.
         expr: Box<ScalarExpr>,
@@ -125,26 +95,20 @@ pub enum ScalarExpr {
         low: Box<ScalarExpr>,
         /// Upper bound.
         high: Box<ScalarExpr>,
-        /// Negated form.
-        negated: bool,
     },
-    /// `[NOT] IN (...)`.
+    /// `IN (...)`.
     InList {
         /// Tested expression.
         expr: Box<ScalarExpr>,
         /// Candidates.
         list: Vec<ScalarExpr>,
-        /// Negated form.
-        negated: bool,
     },
-    /// `[NOT] LIKE`.
+    /// `LIKE`.
     Like {
         /// Tested expression.
         expr: Box<ScalarExpr>,
         /// Pattern.
         pattern: Box<ScalarExpr>,
-        /// Negated form.
-        negated: bool,
     },
 }
 
@@ -218,34 +182,18 @@ impl ScalarExpr {
                 expr: Box::new(expr.remap(map)?),
                 negated: *negated,
             },
-            ScalarExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => ScalarExpr::Between {
+            ScalarExpr::Between { expr, low, high } => ScalarExpr::Between {
                 expr: Box::new(expr.remap(map)?),
                 low: Box::new(low.remap(map)?),
                 high: Box::new(high.remap(map)?),
-                negated: *negated,
             },
-            ScalarExpr::InList {
-                expr,
-                list,
-                negated,
-            } => ScalarExpr::InList {
+            ScalarExpr::InList { expr, list } => ScalarExpr::InList {
                 expr: Box::new(expr.remap(map)?),
                 list: list.iter().map(|e| e.remap(map)).collect::<Option<_>>()?,
-                negated: *negated,
             },
-            ScalarExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => ScalarExpr::Like {
+            ScalarExpr::Like { expr, pattern } => ScalarExpr::Like {
                 expr: Box::new(expr.remap(map)?),
                 pattern: Box::new(pattern.remap(map)?),
-                negated: *negated,
             },
         })
     }
@@ -279,29 +227,18 @@ impl ScalarExpr {
                 let isnull = expr.eval(row)?.is_null();
                 Ok(Value::Bool(isnull != *negated))
             }
-            ScalarExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
+            ScalarExpr::Between { expr, low, high } => {
                 let v = expr.eval(row)?;
                 let lo = low.eval(row)?;
                 let hi = high.eval(row)?;
-                let within = match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
-                    (Some(a), Some(b)) => Some(a != Ordering::Less && b != Ordering::Greater),
-                    _ => None,
-                };
-                Ok(match within {
-                    None => Value::Null,
-                    Some(b) => Value::Bool(b != *negated),
+                Ok(match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
+                    (Some(a), Some(b)) => {
+                        Value::Bool(a != Ordering::Less && b != Ordering::Greater)
+                    }
+                    _ => Value::Null,
                 })
             }
-            ScalarExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
+            ScalarExpr::InList { expr, list } => {
                 let v = expr.eval(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
@@ -310,9 +247,7 @@ impl ScalarExpr {
                 for cand in list {
                     let c = cand.eval(row)?;
                     match v.sql_cmp(&c) {
-                        Some(Ordering::Equal) => {
-                            return Ok(Value::Bool(!*negated));
-                        }
+                        Some(Ordering::Equal) => return Ok(Value::Bool(true)),
                         None => saw_null = true,
                         _ => {}
                     }
@@ -320,21 +255,15 @@ impl ScalarExpr {
                 Ok(if saw_null {
                     Value::Null
                 } else {
-                    Value::Bool(*negated)
+                    Value::Bool(false)
                 })
             }
-            ScalarExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
+            ScalarExpr::Like { expr, pattern } => {
                 let v = expr.eval(row)?;
                 let p = pattern.eval(row)?;
                 match (v, p) {
                     (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                    (Value::Text(s), Value::Text(pat)) => {
-                        Ok(Value::Bool(like_match(&s, &pat) != *negated))
-                    }
+                    (Value::Text(s), Value::Text(pat)) => Ok(Value::Bool(like_match(&s, &pat))),
                     (a, b) => Err(DbError::Type(format!("LIKE expects text, got {a} / {b}"))),
                 }
             }
@@ -379,7 +308,7 @@ fn eval_binary(op: BinOp, left: &ScalarExpr, right: &ScalarExpr, row: &Row) -> R
                 }),
             })
         }
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => arith(op, l, r),
+        BinOp::Add | BinOp::Sub => arith(op, l, r),
         BinOp::Concat => match (l, r) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
             (a, b) => Ok(Value::Text(format!("{a}{b}"))),
@@ -403,19 +332,6 @@ fn arith(op: BinOp, l: Value, r: Value) -> Result<Value> {
             Ok(Value::Int(match op {
                 BinOp::Add => a.wrapping_add(b),
                 BinOp::Sub => a.wrapping_sub(b),
-                BinOp::Mul => a.wrapping_mul(b),
-                BinOp::Div => {
-                    if b == 0 {
-                        return Err(DbError::Runtime("division by zero".into()));
-                    }
-                    a / b
-                }
-                BinOp::Mod => {
-                    if b == 0 {
-                        return Err(DbError::Runtime("modulo by zero".into()));
-                    }
-                    a % b
-                }
                 other => {
                     return Err(DbError::Runtime(format!(
                         "not an arithmetic operator: {other:?}"
@@ -433,14 +349,6 @@ fn arith(op: BinOp, l: Value, r: Value) -> Result<Value> {
             Ok(Value::Float(match op {
                 BinOp::Add => a + b,
                 BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => {
-                    if b == 0.0 {
-                        return Err(DbError::Runtime("division by zero".into()));
-                    }
-                    a / b
-                }
-                BinOp::Mod => a % b,
                 other => {
                     return Err(DbError::Runtime(format!(
                         "not an arithmetic operator: {other:?}"
@@ -452,64 +360,24 @@ fn arith(op: BinOp, l: Value, r: Value) -> Result<Value> {
 }
 
 fn eval_call(func: ScalarFunc, args: &[ScalarExpr], row: &Row) -> Result<Value> {
-    let vals: Vec<Value> = args.iter().map(|a| a.eval(row)).collect::<Result<_>>()?;
-    // Checked accessor: the binder enforces call arity, but an evaluator
+    // Checked access: the binder enforces call arity, but an evaluator
     // reached with a hand-built plan must error, not panic.
-    let arg0 = || {
-        vals.first()
-            .ok_or_else(|| DbError::Runtime(format!("{func:?} called with no arguments")))
-    };
+    let arg = args
+        .first()
+        .ok_or_else(|| DbError::Runtime(format!("{func:?} called with no arguments")))?
+        .eval(row)?;
     match func {
-        ScalarFunc::Coalesce => {
-            for v in &vals {
-                if !v.is_null() {
-                    return Ok(v.clone());
-                }
-            }
-            Ok(Value::Null)
-        }
-        _ if vals.first().map(Value::is_null).unwrap_or(true) => Ok(Value::Null),
-        ScalarFunc::Lower => text_arg(arg0()?).map(|s| Value::Text(s.to_lowercase())),
-        ScalarFunc::Upper => text_arg(arg0()?).map(|s| Value::Text(s.to_uppercase())),
-        ScalarFunc::Length => text_arg(arg0()?).map(|s| Value::Int(s.chars().count() as i64)),
-        ScalarFunc::Abs => match arg0()? {
-            Value::Int(i) => Ok(Value::Int(i.abs())),
-            Value::Float(f) => Ok(Value::Float(f.abs())),
-            other => Err(DbError::Type(format!("ABS expects a number, got {other}"))),
-        },
-        ScalarFunc::Num => match arg0()? {
-            v @ (Value::Int(_) | Value::Float(_)) => Ok(v.clone()),
-            Value::Text(s) => Ok(s
+        ScalarFunc::Num => Ok(match arg {
+            v @ (Value::Int(_) | Value::Float(_)) => v,
+            Value::Text(s) => s
                 .trim()
                 .parse::<i64>()
                 .map(Value::Int)
                 .or_else(|_| s.trim().parse::<f64>().map(Value::Float))
-                .unwrap_or(Value::Null)),
-            _ => Ok(Value::Null),
-        },
-        ScalarFunc::Substr => {
-            let s = text_arg(arg0()?)?;
-            let start = vals
-                .get(1)
-                .and_then(Value::as_int)
-                .ok_or_else(|| DbError::Type("SUBSTR expects integer start".into()))?;
-            let chars: Vec<char> = s.chars().collect();
-            let from = (start.max(1) as usize).saturating_sub(1);
-            let len = match vals.get(2) {
-                Some(v) => v
-                    .as_int()
-                    .ok_or_else(|| DbError::Type("SUBSTR expects integer length".into()))?
-                    .max(0) as usize,
-                None => chars.len().saturating_sub(from),
-            };
-            Ok(Value::Text(chars.iter().skip(from).take(len).collect()))
-        }
+                .unwrap_or(Value::Null),
+            _ => Value::Null,
+        }),
     }
-}
-
-fn text_arg(v: &Value) -> Result<&str> {
-    v.as_text()
-        .ok_or_else(|| DbError::Type(format!("expected text, got {v}")))
 }
 
 /// SQL truthiness: NULL → None, BOOL → its value, numbers → nonzero.
@@ -592,19 +460,19 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_int_float_and_division() {
+    fn arithmetic_int_float_and_text() {
         let add = ScalarExpr::Binary {
             op: BinOp::Add,
             left: Box::new(ScalarExpr::lit(1i64)),
             right: Box::new(ScalarExpr::lit(2.5f64)),
         };
         assert_eq!(add.eval(&empty()).unwrap(), Value::Float(3.5));
-        let div0 = ScalarExpr::Binary {
-            op: BinOp::Div,
-            left: Box::new(ScalarExpr::lit(1i64)),
-            right: Box::new(ScalarExpr::lit(0i64)),
+        let on_text = ScalarExpr::Binary {
+            op: BinOp::Sub,
+            left: Box::new(ScalarExpr::lit("a")),
+            right: Box::new(ScalarExpr::lit(1i64)),
         };
-        assert!(div0.eval(&empty()).is_err());
+        assert!(matches!(on_text.eval(&empty()), Err(DbError::Type(_))));
     }
 
     #[test]
@@ -613,20 +481,17 @@ mod tests {
             expr: Box::new(ScalarExpr::lit(5i64)),
             low: Box::new(ScalarExpr::lit(1i64)),
             high: Box::new(ScalarExpr::lit(10i64)),
-            negated: false,
         };
         assert_eq!(between.eval(&empty()).unwrap(), Value::Bool(true));
-        let not_in = ScalarExpr::InList {
+        let miss = ScalarExpr::InList {
             expr: Box::new(ScalarExpr::lit(3i64)),
             list: vec![ScalarExpr::lit(1i64), ScalarExpr::lit(2i64)],
-            negated: true,
         };
-        assert_eq!(not_in.eval(&empty()).unwrap(), Value::Bool(true));
-        // NULL in the list makes NOT IN unknown when no match.
+        assert_eq!(miss.eval(&empty()).unwrap(), Value::Bool(false));
+        // NULL in the list makes IN unknown when no candidate matches.
         let with_null = ScalarExpr::InList {
             expr: Box::new(ScalarExpr::lit(3i64)),
             list: vec![ScalarExpr::lit(1i64), ScalarExpr::Literal(Value::Null)],
-            negated: true,
         };
         assert_eq!(with_null.eval(&empty()).unwrap(), Value::Null);
     }
@@ -640,45 +505,6 @@ mod tests {
         assert!(like_match("a/b/c", "a/%/c"));
         assert!(!like_match("", "_"));
         assert!(like_match("", "%"));
-    }
-
-    #[test]
-    fn scalar_functions() {
-        let call = |f, args| ScalarExpr::Call { func: f, args };
-        assert_eq!(
-            call(ScalarFunc::Lower, vec![ScalarExpr::lit("AbC")])
-                .eval(&empty())
-                .unwrap(),
-            Value::text("abc")
-        );
-        assert_eq!(
-            call(ScalarFunc::Length, vec![ScalarExpr::lit("héllo")])
-                .eval(&empty())
-                .unwrap(),
-            Value::Int(5)
-        );
-        assert_eq!(
-            call(
-                ScalarFunc::Substr,
-                vec![
-                    ScalarExpr::lit("abcdef"),
-                    ScalarExpr::lit(2i64),
-                    ScalarExpr::lit(3i64)
-                ]
-            )
-            .eval(&empty())
-            .unwrap(),
-            Value::text("bcd")
-        );
-        assert_eq!(
-            call(
-                ScalarFunc::Coalesce,
-                vec![ScalarExpr::Literal(Value::Null), ScalarExpr::lit(7i64)]
-            )
-            .eval(&empty())
-            .unwrap(),
-            Value::Int(7)
-        );
     }
 
     #[test]

@@ -62,12 +62,10 @@ pub enum LogicalPlan {
         /// ON condition over the concatenated row.
         on: Option<ScalarExpr>,
     },
-    /// Grouped aggregation; output = group-by values then aggregate values.
+    /// Single-group aggregation: one output row of aggregate values.
     Aggregate {
         /// Input.
         input: Box<LogicalPlan>,
-        /// Group-by expressions over the input.
-        group_by: Vec<ScalarExpr>,
         /// Aggregates (function, argument).
         aggs: Vec<(AggFunc, Option<ScalarExpr>)>,
         /// Output names.
@@ -80,14 +78,12 @@ pub enum LogicalPlan {
         /// Sort keys with ascending flags.
         keys: Vec<(ScalarExpr, bool)>,
     },
-    /// LIMIT/OFFSET.
+    /// LIMIT.
     Limit {
         /// Input.
         input: Box<LogicalPlan>,
-        /// Maximum rows (None = unlimited).
-        limit: Option<u64>,
-        /// Rows to skip.
-        offset: u64,
+        /// Maximum rows.
+        limit: u64,
     },
     /// Duplicate elimination over whole rows.
     Distinct {
@@ -192,20 +188,6 @@ impl Scope {
     }
 }
 
-/// Aggregate-binding context: collects aggregate calls found while binding
-/// projection/HAVING expressions and rewrites them to references into the
-/// Aggregate node's output.
-struct AggCtx<'a> {
-    /// Scope of the aggregate's *input*.
-    input_scope: &'a Scope,
-    /// AST group-by expressions (matched structurally).
-    group_asts: &'a [Expr],
-    /// Bound group-by expressions.
-    group_exprs: &'a [ScalarExpr],
-    /// Collected aggregates (deduplicated).
-    aggs: Vec<(AggFunc, Option<ScalarExpr>)>,
-}
-
 /// Bind a SELECT statement to a logical plan.
 pub fn bind_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<LogicalPlan> {
     // UNION ALL chain: bind each arm; ORDER BY / LIMIT of the final arm
@@ -215,13 +197,11 @@ pub fn bind_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<LogicalPlan> 
         let mut cur = Some(stmt);
         let mut tail_order: &[(Expr, bool)] = &[];
         let mut tail_limit = None;
-        let mut tail_offset = None;
         while let Some(s) = cur {
             arms.push(s);
             if s.union_all.is_none() {
                 tail_order = &s.order_by;
                 tail_limit = s.limit;
-                tail_offset = s.offset;
             }
             cur = s.union_all.as_deref();
         }
@@ -231,7 +211,6 @@ pub fn bind_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<LogicalPlan> 
             solo.union_all = None;
             solo.order_by = Vec::new();
             solo.limit = None;
-            solo.offset = None;
             plans.push(bind_select(catalog, &solo)?);
         }
         let Some((first, rest)) = plans.split_first() else {
@@ -244,7 +223,7 @@ pub fn bind_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<LogicalPlan> 
             }
         }
         let mut plan = LogicalPlan::UnionAll { inputs: plans };
-        plan = apply_order_limit(plan, tail_order, tail_limit, tail_offset)?;
+        plan = apply_order_limit(plan, tail_order, tail_limit)?;
         return Ok(plan);
     }
 
@@ -267,67 +246,38 @@ pub fn bind_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<LogicalPlan> 
         };
     }
 
-    // Aggregation.
+    // Aggregation: a single group, so every projection must be an
+    // aggregate (or an expression over aggregates).
     let has_aggs = stmt.projections.iter().any(|p| match p {
         SelectItem::Expr { expr, .. } => contains_agg(expr),
-        _ => false,
-    }) || stmt.having.as_ref().map(contains_agg).unwrap_or(false);
+        SelectItem::Wildcard => false,
+    });
 
-    let (exprs, names) = if !stmt.group_by.is_empty() || has_aggs {
+    let (exprs, names) = if has_aggs {
         let input_scope = Scope::of(&plan);
-        let group_exprs: Vec<ScalarExpr> = stmt
-            .group_by
-            .iter()
-            .map(|g| bind_expr(g, &input_scope))
-            .collect::<Result<_>>()?;
-        let mut ctx = AggCtx {
-            input_scope: &input_scope,
-            group_asts: &stmt.group_by,
-            group_exprs: &group_exprs,
-            aggs: Vec::new(),
-        };
-        // Bind projections/HAVING against the aggregate output.
+        let mut aggs = Vec::new();
         let mut proj_exprs = Vec::new();
         let mut proj_names = Vec::new();
         for (i, item) in stmt.projections.iter().enumerate() {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    let bound = bind_agg_expr(expr, &mut ctx)?;
-                    proj_names.push(OutputCol::bare(
-                        alias.clone().unwrap_or_else(|| derive_name(expr, i)),
-                    ));
-                    proj_exprs.push(bound);
-                }
-                _ => {
-                    return Err(DbError::Unsupported(
-                        "wildcard projection with GROUP BY".into(),
-                    ))
-                }
-            }
+            let SelectItem::Expr { expr, alias } = item else {
+                return Err(DbError::Unsupported(
+                    "wildcard projection beside an aggregate".into(),
+                ));
+            };
+            proj_exprs.push(bind_agg_expr(expr, &input_scope, &mut aggs)?);
+            proj_names.push(OutputCol::bare(
+                alias.clone().unwrap_or_else(|| derive_name(expr, i)),
+            ));
         }
-        let having = match &stmt.having {
-            Some(h) => Some(bind_agg_expr(h, &mut ctx)?),
-            None => None,
-        };
-        // Aggregate output names: g0..gn then a0..am (internal).
-        let mut agg_cols: Vec<OutputCol> = (0..group_exprs.len())
-            .map(|i| OutputCol::bare(format!("g{i}")))
+        // Aggregate output names a0..am (internal).
+        let cols = (0..aggs.len())
+            .map(|i| OutputCol::bare(format!("a{i}")))
             .collect();
-        agg_cols.extend((0..ctx.aggs.len()).map(|i| OutputCol::bare(format!("a{i}"))));
-        let aggs = std::mem::take(&mut ctx.aggs);
-        drop(ctx);
         plan = LogicalPlan::Aggregate {
             input: Box::new(plan),
-            group_by: group_exprs,
             aggs,
-            cols: agg_cols,
+            cols,
         };
-        if let Some(h) = having {
-            plan = LogicalPlan::Filter {
-                input: Box::new(plan),
-                predicate: h,
-            };
-        }
         (proj_exprs, proj_names)
     } else {
         // Plain projection.
@@ -340,20 +290,6 @@ pub fn bind_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<LogicalPlan> 
                     for (j, c) in scope.cols().iter().enumerate() {
                         exprs.push(ScalarExpr::Column(j));
                         names.push(c.clone());
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let q = q.to_ascii_lowercase();
-                    let mut any = false;
-                    for (j, c) in scope.cols().iter().enumerate() {
-                        if c.qualifier.as_deref() == Some(&q) {
-                            exprs.push(ScalarExpr::Column(j));
-                            names.push(c.clone());
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        return Err(DbError::Binding(format!("no table {q:?} in scope")));
                     }
                 }
                 SelectItem::Expr { expr, alias } => {
@@ -379,7 +315,7 @@ pub fn bind_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<LogicalPlan> 
         };
     }
 
-    plan = apply_order_limit(plan, &stmt.order_by, stmt.limit, stmt.offset)?;
+    plan = apply_order_limit(plan, &stmt.order_by, stmt.limit)?;
     Ok(plan)
 }
 
@@ -387,7 +323,6 @@ fn apply_order_limit(
     mut plan: LogicalPlan,
     order_by: &[(Expr, bool)],
     limit: Option<u64>,
-    offset: Option<u64>,
 ) -> Result<LogicalPlan> {
     if !order_by.is_empty() {
         let scope = Scope::of(&plan);
@@ -466,11 +401,10 @@ fn apply_order_limit(
             };
         }
     }
-    if limit.is_some() || offset.is_some() {
+    if let Some(limit) = limit {
         plan = LogicalPlan::Limit {
             input: Box::new(plan),
             limit,
-            offset: offset.unwrap_or(0),
         };
     }
     Ok(plan)
@@ -493,24 +427,6 @@ pub fn bind_table_ref(catalog: &Catalog, tr: &TableRef) -> Result<LogicalPlan> {
                 .collect();
             Ok(LogicalPlan::Scan {
                 table: name.to_ascii_lowercase(),
-                cols,
-            })
-        }
-        TableRef::Subquery { query, alias } => {
-            let inner = bind_select(catalog, query)?;
-            // Requalify the subquery's output under its alias.
-            let cols: Vec<OutputCol> = inner
-                .schema()
-                .into_iter()
-                .map(|c| OutputCol {
-                    qualifier: Some(alias.clone()),
-                    name: c.name,
-                })
-                .collect();
-            let exprs = (0..cols.len()).map(ScalarExpr::Column).collect();
-            Ok(LogicalPlan::Project {
-                input: Box::new(inner),
-                exprs,
                 cols,
             })
         }
@@ -571,8 +487,9 @@ pub fn bind_expr(e: &Expr, scope: &Scope) -> Result<ScalarExpr> {
                     "aggregate {name}() not allowed here"
                 )));
             }
-            let func = ScalarFunc::by_name(name)
-                .ok_or_else(|| DbError::Binding(format!("unknown function {name}()")))?;
+            let func = ScalarFunc::by_name(name).ok_or_else(|| {
+                DbError::Unsupported(format!("function {name}() is outside the SQL subset"))
+            })?;
             Ok(ScalarExpr::Call {
                 func,
                 args: args
@@ -586,154 +503,81 @@ pub fn bind_expr(e: &Expr, scope: &Scope) -> Result<ScalarExpr> {
             expr: Box::new(bind_expr(expr, scope)?),
             negated: *negated,
         }),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Ok(ScalarExpr::Between {
+        Expr::Between { expr, low, high } => Ok(ScalarExpr::Between {
             expr: Box::new(bind_expr(expr, scope)?),
             low: Box::new(bind_expr(low, scope)?),
             high: Box::new(bind_expr(high, scope)?),
-            negated: *negated,
         }),
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Ok(ScalarExpr::InList {
+        Expr::InList { expr, list } => Ok(ScalarExpr::InList {
             expr: Box::new(bind_expr(expr, scope)?),
             list: list
                 .iter()
                 .map(|x| bind_expr(x, scope))
                 .collect::<Result<_>>()?,
-            negated: *negated,
         }),
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Ok(ScalarExpr::Like {
+        Expr::Like { expr, pattern } => Ok(ScalarExpr::Like {
             expr: Box::new(bind_expr(expr, scope)?),
             pattern: Box::new(bind_expr(pattern, scope)?),
-            negated: *negated,
         }),
     }
 }
 
-/// Bind a projection/HAVING expression in aggregate context: group-by
-/// subtrees become references to the aggregate's group columns, aggregate
-/// calls become references to its aggregate columns, and any other column
-/// reference is rejected.
-fn bind_agg_expr(e: &Expr, ctx: &mut AggCtx<'_>) -> Result<ScalarExpr> {
-    // Structural match against a GROUP BY expression.
-    for (i, g) in ctx.group_asts.iter().enumerate() {
-        if e == g {
-            return Ok(ScalarExpr::Column(i));
-        }
-    }
+/// Bind a projection expression in aggregate context: aggregate calls
+/// become references to the Aggregate node's output (deduplicated into
+/// `aggs`), and a column outside an aggregate is rejected — the single
+/// group has no row to take it from.
+fn bind_agg_expr(
+    e: &Expr,
+    input_scope: &Scope,
+    aggs: &mut Vec<(AggFunc, Option<ScalarExpr>)>,
+) -> Result<ScalarExpr> {
     match e {
         Expr::Function { name, args } if AggFunc::by_name(name).is_some() => {
             let Some(mut func) = AggFunc::by_name(name) else {
                 return Err(DbError::Binding(format!("unknown aggregate {name:?}")));
             };
             let arg = match args.as_slice() {
-                [Expr::Star] if func == AggFunc::Count => {
+                [Expr::Star] | [] if func == AggFunc::Count => {
                     func = AggFunc::CountStar;
                     None
                 }
-                [a] => Some(bind_expr(a, ctx.input_scope)?),
-                [] if func == AggFunc::Count => {
-                    func = AggFunc::CountStar;
-                    None
-                }
+                [a] => Some(bind_expr(a, input_scope)?),
                 _ => {
                     return Err(DbError::Binding(format!(
                         "{name}() takes exactly one argument"
                     )))
                 }
             };
-            let slot = match ctx.aggs.iter().position(|(f, a)| *f == func && *a == arg) {
+            let slot = match aggs.iter().position(|(f, a)| *f == func && *a == arg) {
                 Some(i) => i,
                 None => {
-                    ctx.aggs.push((func, arg));
-                    ctx.aggs.len() - 1
+                    aggs.push((func, arg));
+                    aggs.len() - 1
                 }
             };
-            Ok(ScalarExpr::Column(ctx.group_exprs.len() + slot))
+            Ok(ScalarExpr::Column(slot))
         }
-        Expr::Column { qualifier, name } => {
-            // A bare column must match a group-by column (structural match
-            // above catches the identical spelling; here we also accept a
-            // group-by entry that resolves to the same input offset).
-            let off = ctx.input_scope.resolve(qualifier.as_deref(), name)?;
-            for (i, g) in ctx.group_exprs.iter().enumerate() {
-                if *g == ScalarExpr::Column(off) {
-                    return Ok(ScalarExpr::Column(i));
-                }
-            }
-            Err(DbError::Binding(format!(
-                "column {name:?} must appear in GROUP BY or an aggregate"
-            )))
-        }
+        Expr::Column { name, .. } => Err(DbError::Binding(format!(
+            "column {name:?} must appear inside an aggregate"
+        ))),
         Expr::Literal(v) => Ok(ScalarExpr::Literal(v.clone())),
         Expr::Binary { op, left, right } => Ok(ScalarExpr::Binary {
             op: *op,
-            left: Box::new(bind_agg_expr(left, ctx)?),
-            right: Box::new(bind_agg_expr(right, ctx)?),
+            left: Box::new(bind_agg_expr(left, input_scope, aggs)?),
+            right: Box::new(bind_agg_expr(right, input_scope, aggs)?),
         }),
         Expr::Unary { op, expr } => Ok(ScalarExpr::Unary {
             op: *op,
-            expr: Box::new(bind_agg_expr(expr, ctx)?),
+            expr: Box::new(bind_agg_expr(expr, input_scope, aggs)?),
         }),
-        Expr::Function { name, args } => {
-            let func = ScalarFunc::by_name(name)
-                .ok_or_else(|| DbError::Binding(format!("unknown function {name}()")))?;
-            Ok(ScalarExpr::Call {
-                func,
-                args: args
-                    .iter()
-                    .map(|a| bind_agg_expr(a, ctx))
-                    .collect::<Result<_>>()?,
-            })
-        }
-        Expr::Star => Err(DbError::Binding("'*' only allowed in COUNT(*)".into())),
-        Expr::IsNull { expr, negated } => Ok(ScalarExpr::IsNull {
-            expr: Box::new(bind_agg_expr(expr, ctx)?),
-            negated: *negated,
-        }),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Ok(ScalarExpr::Between {
-            expr: Box::new(bind_agg_expr(expr, ctx)?),
-            low: Box::new(bind_agg_expr(low, ctx)?),
-            high: Box::new(bind_agg_expr(high, ctx)?),
-            negated: *negated,
-        }),
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Ok(ScalarExpr::InList {
-            expr: Box::new(bind_agg_expr(expr, ctx)?),
-            list: list
-                .iter()
-                .map(|x| bind_agg_expr(x, ctx))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        }),
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Ok(ScalarExpr::Like {
-            expr: Box::new(bind_agg_expr(expr, ctx)?),
-            pattern: Box::new(bind_agg_expr(pattern, ctx)?),
-            negated: *negated,
-        }),
+        Expr::Function { .. }
+        | Expr::Star
+        | Expr::IsNull { .. }
+        | Expr::Between { .. }
+        | Expr::InList { .. }
+        | Expr::Like { .. } => Err(DbError::Unsupported(
+            "an aggregate projection takes aggregates, literals and + / - only".into(),
+        )),
     }
 }
 
@@ -793,29 +637,16 @@ fn fmt_plan(plan: &LogicalPlan, depth: usize, out: &mut String) {
             fmt_plan(left, depth + 1, out);
             fmt_plan(right, depth + 1, out);
         }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            ..
-        } => {
-            out.push_str(&format!(
-                "{pad}Aggregate groups={} aggs={}\n",
-                group_by.len(),
-                aggs.len()
-            ));
+        LogicalPlan::Aggregate { input, aggs, .. } => {
+            out.push_str(&format!("{pad}Aggregate aggs={}\n", aggs.len()));
             fmt_plan(input, depth + 1, out);
         }
         LogicalPlan::Sort { input, keys } => {
             out.push_str(&format!("{pad}Sort [{} keys]\n", keys.len()));
             fmt_plan(input, depth + 1, out);
         }
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            out.push_str(&format!("{pad}Limit limit={limit:?} offset={offset}\n"));
+        LogicalPlan::Limit { input, limit } => {
+            out.push_str(&format!("{pad}Limit {limit}\n"));
             fmt_plan(input, depth + 1, out);
         }
         LogicalPlan::Distinct { input } => {
@@ -891,13 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn qualified_wildcard() {
-        let p = bind("SELECT e.* FROM edge e JOIN node n ON e.src = n.pre").unwrap();
-        assert_eq!(p.schema().len(), 5);
-        assert_eq!(p.join_count(), 1);
-    }
-
-    #[test]
     fn unknown_column_errors() {
         assert!(matches!(
             bind("SELECT nope FROM edge"),
@@ -920,27 +744,21 @@ mod tests {
 
     #[test]
     fn aggregate_binding_and_rewrite() {
-        let p =
-            bind("SELECT label, COUNT(*), SUM(tgt) FROM edge GROUP BY label HAVING COUNT(*) > 2")
-                .unwrap();
-        // Shape: Project(Filter(Aggregate(Scan))).
+        let p = bind("SELECT COUNT(*), MAX(tgt), COUNT(*) + 1 FROM edge").unwrap();
+        // Shape: Project(Aggregate(Scan)).
         let LogicalPlan::Project { input, .. } = &p else {
             panic!("{p:?}")
         };
-        let LogicalPlan::Filter { input: agg, .. } = &**input else {
+        let LogicalPlan::Aggregate { aggs, .. } = &**input else {
             panic!()
         };
-        let LogicalPlan::Aggregate { group_by, aggs, .. } = &**agg else {
-            panic!()
-        };
-        assert_eq!(group_by.len(), 1);
-        // COUNT(*) is shared between projection and HAVING.
+        // COUNT(*) is shared between the two projections that use it.
         assert_eq!(aggs.len(), 2);
     }
 
     #[test]
-    fn bare_column_outside_group_by_rejected() {
-        let err = bind("SELECT tgt, COUNT(*) FROM edge GROUP BY label").unwrap_err();
+    fn bare_column_beside_aggregate_rejected() {
+        let err = bind("SELECT tgt, COUNT(*) FROM edge").unwrap_err();
         assert!(matches!(err, DbError::Binding(_)));
     }
 
@@ -955,12 +773,6 @@ mod tests {
     fn union_arity_checked() {
         assert!(bind("SELECT src FROM edge UNION ALL SELECT pre FROM node").is_ok());
         assert!(bind("SELECT src, tgt FROM edge UNION ALL SELECT pre FROM node").is_err());
-    }
-
-    #[test]
-    fn subquery_scope() {
-        let p = bind("SELECT s.x FROM (SELECT src AS x FROM edge) s WHERE s.x > 0").unwrap();
-        assert_eq!(p.schema()[0].name, "x");
     }
 
     #[test]

@@ -137,14 +137,8 @@ fn push_filters(plan: LogicalPlan) -> LogicalPlan {
             kind,
             on,
         },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            cols,
-        } => LogicalPlan::Aggregate {
+        LogicalPlan::Aggregate { input, aggs, cols } => LogicalPlan::Aggregate {
             input: Box::new(push_filters(*input)),
-            group_by,
             aggs,
             cols,
         },
@@ -152,14 +146,9 @@ fn push_filters(plan: LogicalPlan) -> LogicalPlan {
             input: Box::new(push_filters(*input)),
             keys,
         },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
+        LogicalPlan::Limit { input, limit } => LogicalPlan::Limit {
             input: Box::new(push_filters(*input)),
             limit,
-            offset,
         },
         LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
             input: Box::new(push_filters(*input)),

@@ -127,23 +127,19 @@ pub enum PhysicalPlan {
         /// Keys with ascending flags.
         keys: Vec<(ScalarExpr, bool)>,
     },
-    /// Hash aggregation.
+    /// Single-group aggregation: one row of aggregate values.
     HashAggregate {
         /// Input.
         input: Box<PhysicalPlan>,
-        /// Group-by expressions.
-        group_by: Vec<ScalarExpr>,
         /// Aggregates.
         aggs: Vec<(AggFunc, Option<ScalarExpr>)>,
     },
-    /// LIMIT/OFFSET.
+    /// LIMIT.
     Limit {
         /// Input.
         input: Box<PhysicalPlan>,
         /// Max rows.
-        limit: Option<u64>,
-        /// Skipped rows.
-        offset: u64,
+        limit: u64,
     },
     /// Hash-based duplicate elimination.
     Distinct {
@@ -221,28 +217,17 @@ pub fn plan_physical(
             kind,
             on,
         } => plan_join(catalog, left, right, *kind, on.as_ref(), opts),
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            ..
-        } => Ok(PhysicalPlan::HashAggregate {
+        LogicalPlan::Aggregate { input, aggs, .. } => Ok(PhysicalPlan::HashAggregate {
             input: Box::new(plan_physical(catalog, input, opts)?),
-            group_by: group_by.clone(),
             aggs: aggs.clone(),
         }),
         LogicalPlan::Sort { input, keys } => Ok(PhysicalPlan::Sort {
             input: Box::new(plan_physical(catalog, input, opts)?),
             keys: keys.clone(),
         }),
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => Ok(PhysicalPlan::Limit {
+        LogicalPlan::Limit { input, limit } => Ok(PhysicalPlan::Limit {
             input: Box::new(plan_physical(catalog, input, opts)?),
             limit: *limit,
-            offset: *offset,
         }),
         LogicalPlan::Distinct { input } => Ok(PhysicalPlan::Distinct {
             input: Box::new(plan_physical(catalog, input, opts)?),
@@ -373,12 +358,7 @@ pub(crate) fn classify_bound(c: &ScalarExpr, col: usize) -> Option<BoundKind> {
                 _ => None,
             }
         }
-        ScalarExpr::Between {
-            expr,
-            low,
-            high,
-            negated: false,
-        } => match (&**expr, &**low, &**high) {
+        ScalarExpr::Between { expr, low, high } => match (&**expr, &**low, &**high) {
             (ScalarExpr::Column(i), ScalarExpr::Literal(lo), ScalarExpr::Literal(hi))
                 if *i == col && !lo.is_null() && !hi.is_null() =>
             {
@@ -588,13 +568,7 @@ fn try_interval_join(
         }
     };
     for (k, c) in conjuncts.iter().enumerate() {
-        if let ScalarExpr::Between {
-            expr,
-            low,
-            high,
-            negated: false,
-        } = c
-        {
+        if let ScalarExpr::Between { expr, low, high } = c {
             if let ScalarExpr::Column(i) = **expr {
                 if i >= left_arity && side_ok(low, true) && side_ok(high, true) {
                     let residual: Vec<ScalarExpr> = conjuncts
@@ -748,24 +722,12 @@ fn fmt(plan: &PhysicalPlan, depth: usize, out: &mut String) {
             out.push_str(&format!("{pad}Sort [{}]\n", keys.len()));
             fmt(input, depth + 1, out);
         }
-        PhysicalPlan::HashAggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            out.push_str(&format!(
-                "{pad}HashAggregate groups={} aggs={}\n",
-                group_by.len(),
-                aggs.len()
-            ));
+        PhysicalPlan::HashAggregate { input, aggs } => {
+            out.push_str(&format!("{pad}HashAggregate aggs={}\n", aggs.len()));
             fmt(input, depth + 1, out);
         }
-        PhysicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            out.push_str(&format!("{pad}Limit {limit:?} offset={offset}\n"));
+        PhysicalPlan::Limit { input, limit } => {
+            out.push_str(&format!("{pad}Limit {limit}\n"));
             fmt(input, depth + 1, out);
         }
         PhysicalPlan::Distinct { input } => {

@@ -63,14 +63,8 @@ pub fn reorder_joins(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
             exprs,
             cols,
         },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            cols,
-        } => LogicalPlan::Aggregate {
+        LogicalPlan::Aggregate { input, aggs, cols } => LogicalPlan::Aggregate {
             input: Box::new(reorder_joins(*input, catalog)),
-            group_by,
             aggs,
             cols,
         },
@@ -78,14 +72,9 @@ pub fn reorder_joins(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
             input: Box::new(reorder_joins(*input, catalog)),
             keys,
         },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
+        LogicalPlan::Limit { input, limit } => LogicalPlan::Limit {
             input: Box::new(reorder_joins(*input, catalog)),
             limit,
-            offset,
         },
         LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
             input: Box::new(reorder_joins(*input, catalog)),
@@ -393,9 +382,8 @@ mod tests {
         for sql in [
             "SELECT big.id, small.label FROM big, small \
              WHERE big.id = small.id ORDER BY big.id",
-            "SELECT b.tag, COUNT(*) FROM big b, small s, small s2 \
-             WHERE b.id = s.id AND s.id = s2.id AND s2.label = 'l7' \
-             GROUP BY b.tag ORDER BY 1",
+            "SELECT COUNT(*), MAX(b.tag) FROM big b, small s, small s2 \
+             WHERE b.id = s.id AND s.id = s2.id AND s2.label = 'l7'",
             "SELECT big.id FROM big, small WHERE big.id < 5 AND small.id < 5 ORDER BY 1",
         ] {
             let a = with.query(sql).unwrap();

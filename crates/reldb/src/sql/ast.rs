@@ -25,13 +25,6 @@ pub enum Statement {
         /// Uniqueness constraint.
         unique: bool,
     },
-    /// `DROP TABLE [IF EXISTS] name`.
-    DropTable {
-        /// Table name.
-        name: String,
-        /// `IF EXISTS` given.
-        if_exists: bool,
-    },
     /// `INSERT INTO table [(cols)] VALUES (..), (..)`.
     Insert {
         /// Target table.
@@ -94,16 +87,10 @@ pub struct SelectStmt {
     pub from: Option<TableRef>,
     /// WHERE predicate.
     pub predicate: Option<Expr>,
-    /// GROUP BY expressions.
-    pub group_by: Vec<Expr>,
-    /// HAVING predicate.
-    pub having: Option<Expr>,
     /// ORDER BY expressions with ascending flags.
     pub order_by: Vec<(Expr, bool)>,
     /// LIMIT count.
     pub limit: Option<u64>,
-    /// OFFSET count.
-    pub offset: Option<u64>,
     /// Chained `UNION ALL` arm.
     pub union_all: Option<Box<SelectStmt>>,
 }
@@ -116,11 +103,8 @@ impl SelectStmt {
             projections: Vec::new(),
             from: None,
             predicate: None,
-            group_by: Vec::new(),
-            having: None,
             order_by: Vec::new(),
             limit: None,
-            offset: None,
             union_all: None,
         }
     }
@@ -131,8 +115,6 @@ impl SelectStmt {
 pub enum SelectItem {
     /// `*`
     Wildcard,
-    /// `table.*`
-    QualifiedWildcard(String),
     /// An expression with an optional alias.
     Expr {
         /// Projected expression.
@@ -151,13 +133,6 @@ pub enum TableRef {
         name: String,
         /// Alias.
         alias: Option<String>,
-    },
-    /// Derived table `(SELECT ..) alias`.
-    Subquery {
-        /// The subquery.
-        query: Box<SelectStmt>,
-        /// Mandatory alias.
-        alias: String,
     },
     /// A join.
     Join {
@@ -227,7 +202,7 @@ pub enum Expr {
         /// `IS NOT NULL`.
         negated: bool,
     },
-    /// `expr [NOT] BETWEEN low AND high`.
+    /// `expr BETWEEN low AND high`.
     Between {
         /// Tested expression.
         expr: Box<Expr>,
@@ -235,26 +210,20 @@ pub enum Expr {
         low: Box<Expr>,
         /// Upper bound (inclusive).
         high: Box<Expr>,
-        /// `NOT BETWEEN`.
-        negated: bool,
     },
-    /// `expr [NOT] IN (v, ...)`.
+    /// `expr IN (v, ...)`.
     InList {
         /// Tested expression.
         expr: Box<Expr>,
         /// Candidate list.
         list: Vec<Expr>,
-        /// `NOT IN`.
-        negated: bool,
     },
-    /// `expr [NOT] LIKE pattern` (`%` and `_` wildcards).
+    /// `expr LIKE pattern` (`%` and `_` wildcards).
     Like {
         /// Tested expression.
         expr: Box<Expr>,
         /// Pattern expression.
         pattern: Box<Expr>,
-        /// `NOT LIKE`.
-        negated: bool,
     },
 }
 
@@ -323,12 +292,6 @@ pub enum BinOp {
     Add,
     /// `-`
     Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-    /// `%`
-    Mod,
     /// `||`
     Concat,
 }

@@ -37,10 +37,6 @@ pub enum Symbol {
     Plus,
     /// `-`
     Minus,
-    /// `/`
-    Slash,
-    /// `%`
-    Percent,
     /// `=`
     Eq,
     /// `<>` or `!=`
@@ -109,14 +105,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             }
             b'-' => {
                 out.push(Token::Symbol(Symbol::Minus));
-                i += 1;
-            }
-            b'/' => {
-                out.push(Token::Symbol(Symbol::Slash));
-                i += 1;
-            }
-            b'%' => {
-                out.push(Token::Symbol(Symbol::Percent));
                 i += 1;
             }
             b'=' => {

@@ -132,15 +132,6 @@ impl Parser {
         if self.eat_kw("create") {
             return self.create();
         }
-        if self.eat_kw("drop") {
-            self.expect_kw("table")?;
-            let if_exists = self.eat_kw("if") && {
-                self.expect_kw("exists")?;
-                true
-            };
-            let name = self.ident()?;
-            return Ok(Statement::DropTable { name, if_exists });
-        }
         if self.eat_kw("insert") {
             return self.insert();
         }
@@ -316,18 +307,6 @@ impl Parser {
         if self.eat_kw("where") {
             stmt.predicate = Some(self.expr()?);
         }
-        if self.eat_kw("group") {
-            self.expect_kw("by")?;
-            loop {
-                stmt.group_by.push(self.expr()?);
-                if !self.eat_symbol(Symbol::Comma) {
-                    break;
-                }
-            }
-        }
-        if self.eat_kw("having") {
-            stmt.having = Some(self.expr()?);
-        }
         if self.eat_kw("union") {
             self.expect_kw("all")?;
             stmt.union_all = Some(Box::new(self.select()?));
@@ -352,9 +331,6 @@ impl Parser {
         if self.eat_kw("limit") {
             stmt.limit = Some(self.unsigned()?);
         }
-        if self.eat_kw("offset") {
-            stmt.offset = Some(self.unsigned()?);
-        }
         Ok(stmt)
     }
 
@@ -373,20 +349,6 @@ impl Parser {
     fn select_item(&mut self) -> Result<SelectItem> {
         if self.eat_symbol(Symbol::Star) {
             return Ok(SelectItem::Wildcard);
-        }
-        // `ident.*`
-        if let (
-            Some(Token::Ident(q)),
-            Some(Token::Symbol(Symbol::Dot)),
-            Some(Token::Symbol(Symbol::Star)),
-        ) = (
-            self.tokens.get(self.pos),
-            self.tokens.get(self.pos + 1),
-            self.tokens.get(self.pos + 2),
-        ) {
-            let q = q.to_ascii_lowercase();
-            self.pos += 3;
-            return Ok(SelectItem::QualifiedWildcard(q));
         }
         let expr = self.expr()?;
         // `AS alias` or a bare non-reserved identifier.
@@ -433,22 +395,6 @@ impl Parser {
     }
 
     fn table_factor(&mut self) -> Result<TableRef> {
-        if self.eat_symbol(Symbol::LParen) {
-            if self.peek_kw("select") {
-                let query = self.select()?;
-                self.expect_symbol(Symbol::RParen)?;
-                self.eat_kw("as");
-                let alias = self.ident()?;
-                return Ok(TableRef::Subquery {
-                    query: Box::new(query),
-                    alias,
-                });
-            }
-            // Parenthesized join tree.
-            let inner = self.table_ref()?;
-            self.expect_symbol(Symbol::RParen)?;
-            return Ok(inner);
-        }
         let name = self.ident()?;
         let has_alias =
             self.eat_kw("as") || matches!(self.peek(), Some(Token::Ident(s)) if !is_reserved(s));
@@ -500,7 +446,6 @@ impl Parser {
                 negated,
             });
         }
-        let negated = self.eat_kw("not");
         if self.eat_kw("between") {
             let low = self.additive()?;
             self.expect_kw("and")?;
@@ -509,7 +454,6 @@ impl Parser {
                 expr: Box::new(e),
                 low: Box::new(low),
                 high: Box::new(high),
-                negated,
             });
         }
         if self.eat_kw("in") {
@@ -522,7 +466,6 @@ impl Parser {
             return Ok(Expr::InList {
                 expr: Box::new(e),
                 list,
-                negated,
             });
         }
         if self.eat_kw("like") {
@@ -530,11 +473,7 @@ impl Parser {
             return Ok(Expr::Like {
                 expr: Box::new(e),
                 pattern: Box::new(pat),
-                negated,
             });
-        }
-        if negated {
-            return Err(self.err("expected BETWEEN, IN or LIKE after NOT"));
         }
         let op = match self.peek() {
             Some(Token::Symbol(Symbol::Eq)) => Some(BinOp::Eq),
@@ -556,26 +495,12 @@ impl Parser {
     }
 
     fn additive(&mut self) -> Result<Expr> {
-        let mut e = self.multiplicative()?;
+        let mut e = self.unary()?;
         loop {
             let op = match self.peek() {
                 Some(Token::Symbol(Symbol::Plus)) => BinOp::Add,
                 Some(Token::Symbol(Symbol::Minus)) => BinOp::Sub,
                 Some(Token::Symbol(Symbol::Concat)) => BinOp::Concat,
-                _ => return Ok(e),
-            };
-            self.pos += 1;
-            e = Expr::bin(op, e, self.multiplicative()?);
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr> {
-        let mut e = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Symbol(Symbol::Star)) => BinOp::Mul,
-                Some(Token::Symbol(Symbol::Slash)) => BinOp::Div,
-                Some(Token::Symbol(Symbol::Percent)) => BinOp::Mod,
                 _ => return Ok(e),
             };
             self.pos += 1;
@@ -616,7 +541,6 @@ impl Parser {
                 self.expect_symbol(Symbol::RParen)?;
                 Ok(e)
             }
-            Some(Token::Symbol(Symbol::Star)) => Ok(Expr::Star),
             Some(Token::Ident(id)) => self.ident_expr(id),
             Some(Token::QuotedIdent(id)) => self.column_tail(id),
             _ => {
@@ -675,6 +599,10 @@ impl Parser {
     }
 }
 
+/// Words that never bind as an alias or a bare expression. `group`,
+/// `having`, `offset` and `drop` name clauses outside the subset; they stay
+/// reserved so that `FROM t GROUP BY g` or `LIMIT 2 OFFSET 1` is a syntax
+/// error instead of an alias or a silently dropped clause.
 fn is_reserved(word: &str) -> bool {
     const RESERVED: &[&str] = &[
         "select", "from", "where", "group", "by", "having", "order", "limit", "offset", "union",
@@ -745,19 +673,17 @@ mod tests {
     #[test]
     fn select_with_everything() {
         let s = parse_statement(
-            "SELECT t.a AS x, COUNT(*) FROM t WHERE t.b = 3 AND t.c LIKE 'p%' \
-             GROUP BY t.a HAVING COUNT(*) > 1 ORDER BY x DESC LIMIT 10 OFFSET 2",
+            "SELECT DISTINCT t.a AS x, t.b FROM t WHERE t.b = 3 AND t.c LIKE 'p%' \
+             ORDER BY x DESC LIMIT 10",
         )
         .unwrap();
         let Statement::Select(sel) = s else { panic!() };
+        assert!(sel.distinct);
         assert_eq!(sel.projections.len(), 2);
         assert!(sel.predicate.is_some());
-        assert_eq!(sel.group_by.len(), 1);
-        assert!(sel.having.is_some());
         assert_eq!(sel.order_by.len(), 1);
         assert!(!sel.order_by[0].1);
         assert_eq!(sel.limit, Some(10));
-        assert_eq!(sel.offset, Some(2));
     }
 
     #[test]
@@ -793,30 +719,21 @@ mod tests {
     }
 
     #[test]
-    fn subquery_in_from() {
-        let s = parse_statement("SELECT x FROM (SELECT a AS x FROM t) AS sub WHERE x > 1").unwrap();
-        let Statement::Select(sel) = s else { panic!() };
-        assert!(matches!(sel.from.unwrap(), TableRef::Subquery { alias, .. } if alias == "sub"));
-    }
-
-    #[test]
     fn operator_precedence() {
-        let Statement::Select(sel) = parse_statement("SELECT 1 + 2 * 3").unwrap() else {
+        let Statement::Select(sel) = parse_statement("SELECT * FROM t WHERE a > b + 1").unwrap()
+        else {
             panic!()
         };
-        let SelectItem::Expr { expr, .. } = &sel.projections[0] else {
-            panic!()
-        };
-        // Must parse as 1 + (2 * 3).
-        let Expr::Binary {
-            op: BinOp::Add,
+        // Must parse as a > (b + 1).
+        let Some(Expr::Binary {
+            op: BinOp::Gt,
             right,
             ..
-        } = expr
+        }) = &sel.predicate
         else {
-            panic!("{expr:?}")
+            panic!("{:?}", sel.predicate)
         };
-        assert!(matches!(**right, Expr::Binary { op: BinOp::Mul, .. }));
+        assert!(matches!(**right, Expr::Binary { op: BinOp::Add, .. }));
     }
 
     #[test]
@@ -832,9 +749,9 @@ mod tests {
     }
 
     #[test]
-    fn between_in_like_not() {
+    fn between_in_is_not_null() {
         let Statement::Select(sel) = parse_statement(
-            "SELECT * FROM t WHERE a BETWEEN 1 AND 5 AND b NOT IN (1,2) AND c IS NOT NULL",
+            "SELECT * FROM t WHERE a BETWEEN 1 AND 5 AND b IN (1,2) AND c IS NOT NULL",
         )
         .unwrap() else {
             panic!()

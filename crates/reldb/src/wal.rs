@@ -51,11 +51,6 @@ pub enum WalRecord {
         /// Whether duplicates are rejected.
         unique: bool,
     },
-    /// A table was dropped.
-    DropTable {
-        /// Table name.
-        name: String,
-    },
     /// Rows were inserted (in order; row ids are assigned deterministically
     /// on replay because failed statements never consume heap slots).
     Insert {
@@ -103,10 +98,6 @@ fn put_record(out: &mut Vec<u8>, rec: &WalRecord) -> Result<()> {
                 put_u32(out, len_u32(c, "index column offset")?);
             }
             put_u8(out, *unique as u8);
-        }
-        WalRecord::DropTable { name } => {
-            put_u8(out, 3);
-            put_str(out, name)?;
         }
         WalRecord::Insert { table, rows } => {
             put_u8(out, 4);
@@ -159,7 +150,13 @@ fn read_record(r: &mut Reader<'_>) -> Result<WalRecord> {
                 unique,
             }
         }
-        3 => WalRecord::DropTable { name: r.str()? },
+        // Tag 3 was DROP TABLE, which left the SQL subset. It is never
+        // reused, so a log that carries it is not one this engine wrote.
+        3 => {
+            return Err(DbError::Corrupt(
+                "retired WAL record tag 3 (DROP TABLE)".into(),
+            ))
+        }
         4 => {
             let table = r.str()?;
             let n = r.u32()? as usize;
@@ -309,7 +306,6 @@ mod tests {
                 rid: 1,
                 row: vec![Value::Int(2), Value::text("b")],
             },
-            WalRecord::DropTable { name: "t".into() },
         ]
     }
 
@@ -360,6 +356,29 @@ mod tests {
         let (frames, consumed) = read_frames(&buf);
         assert_eq!(frames.len(), 1);
         assert_eq!(consumed, f1.len());
+    }
+
+    #[test]
+    fn retired_drop_table_tag_is_corrupt() {
+        let mut rec = vec![3u8];
+        put_str(&mut rec, "t").unwrap();
+        assert!(matches!(
+            read_record(&mut Reader::new(&rec)),
+            Err(DbError::Corrupt(m)) if m.contains("tag 3")
+        ));
+        // A checksum-valid frame carrying the tag ends replay before it.
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 1);
+        put_u32(&mut payload, 1);
+        payload.extend_from_slice(&rec);
+        let good = encode_frame(1, &sample_records()[..1]).unwrap();
+        let mut buf = good.clone();
+        put_u32(&mut buf, payload.len() as u32);
+        put_u32(&mut buf, crc32(&payload));
+        buf.extend_from_slice(&payload);
+        let (frames, consumed) = read_frames(&buf);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(consumed, good.len());
     }
 
     #[test]

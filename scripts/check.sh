@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, the workspace linter,
-# the plan-quality gate, clippy, the whole test suite, and the benchmark's
-# own tests (every workload run once plain and once traced, answers
-# checked). Run from anywhere; operates on the repository root. Each step
-# names itself so a failure is attributable at a glance.
+# clippy, the whole test suite, and the benchmark's own tests (every
+# workload run once plain and once traced, answers checked). Run from
+# anywhere; operates on the repository root. Each step names itself so a
+# failure is attributable at a glance.
 #
 # Wall-clock performance is not gated here: `benchmark/run.sh` is the one
-# perf harness, and plan or cost regressions fail tests/golden_plans.rs.
+# perf harness. Plan quality — plan or cost regressions, and any scheme
+# access-path contract or analyzer finding — fails tests/golden_plans.rs.
 #
 # All cargo invocations run --locked: the container is offline and the
 # lockfile is the only dependency truth, so a drifted Cargo.toml fails
@@ -24,13 +25,6 @@ step() {
     if ! "$@"; then
         echo "FAILED: ${name}" >&2
         failed=1
-    fi
-}
-
-planlint() {
-    if ! cargo run -q --locked -p planlint -- --out target/planlint.json; then
-        echo "planlint: report written to target/planlint.json" >&2
-        return 1
     fi
 }
 
@@ -56,7 +50,6 @@ step "release build"      cargo build --release --locked
 step "xmlrel-lint"        cargo run -q --locked -p lint -- --out target/lint.json
 step "conclint"           conclint
 step "sqllint"            sqllint
-step "planlint"           planlint
 step "clippy"             cargo clippy --workspace --all-targets --locked -- -D warnings
 step "tests"              cargo test -q --workspace --locked
 step "benchmark tests"    cargo test -q --manifest-path benchmark/Cargo.toml --offline --locked

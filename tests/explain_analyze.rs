@@ -29,7 +29,7 @@ use xmlrel::xmlgen::auction::{generate as gen_auction, AuctionConfig, AUCTION_DT
 use xmlrel::xmlgen::queries::{WorkloadQuery, AUCTION_QUERIES};
 use xmlrel::{all_schemes, Explain, XmlStore};
 
-/// E3 workload slice: simple child-path queries (same ids planlint pins).
+/// E3 workload slice: simple child-path queries (same ids golden_plans pins).
 const E3_IDS: &[&str] = &["Q1", "Q3", "Q10"];
 
 /// The query each golden snapshot is taken for.

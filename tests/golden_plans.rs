@@ -2,11 +2,15 @@
 //!
 //! For every query of experiments E3 (child chains), E4 (descendants),
 //! E5 (value predicates), E6 (join counts), and E11 (structural joins),
-//! under every mapping scheme, the physical plan the optimizer chooses —
-//! and its cost breakdown — is pinned as a snapshot in
-//! `tests/golden_plans/`. Any change to index selection, join ordering,
-//! or the cost model shows up here as a readable plan + cost diff before
-//! a single benchmark runs.
+//! under every mapping scheme — plus the value-index variants of edge,
+//! binary and interval that experiment E5's knob builds — the physical
+//! plan the optimizer chooses, its cost breakdown, and the plan checks'
+//! findings are pinned as a snapshot in `tests/golden_plans/`. Any change
+//! to index selection, join ordering, or the cost model shows up here as a
+//! readable plan + cost diff before a single benchmark runs, and every
+//! snapshot pins `diagnostics: none`: a plan that breaks its scheme's
+//! access-path contract (`xmlrel_core::contract`) or trips the generic
+//! anti-pattern analyzer (`reldb::plan::analyze`) fails here too.
 //!
 //! To accept a deliberate planner change, regenerate the corpus:
 //!
@@ -22,9 +26,9 @@ use std::path::PathBuf;
 use xmlrel::xmlgen::auction::{generate as gen_auction, AuctionConfig, AUCTION_DTD};
 use xmlrel::xmlgen::dblp::{generate as gen_dblp, DblpConfig, DBLP_DTD};
 use xmlrel::xmlgen::queries::{WorkloadQuery, AUCTION_QUERIES, DBLP_QUERIES};
-use xmlrel::{all_schemes, XmlStore};
+use xmlrel::{all_schemes, StoreBuilder, XmlStore};
 
-/// The pinned experiment slices (same set the `planlint` gate checks).
+/// The pinned experiment slices.
 const EXPERIMENTS: &[(&str, &str, &[&str])] = &[
     ("E3", "auction", &["Q1", "Q3", "Q10"]),
     ("E4", "auction", &["Q4", "Q5", "Q6"]),
@@ -62,6 +66,23 @@ fn workload(corpus: &str) -> Vec<(&'static str, &'static WorkloadQuery)> {
                 out.push((*experiment, q));
             }
         }
+    }
+    out
+}
+
+/// Every scheme, plus `<scheme>+valueindex` for the three schemes that grow
+/// a value index: there, string equality must probe that index.
+fn store_variants(dtd: &str) -> Vec<(String, StoreBuilder)> {
+    let mut out = Vec::new();
+    for scheme in all_schemes(dtd).expect("schemes") {
+        let name = scheme.name();
+        if matches!(name, "edge" | "binary" | "interval") {
+            out.push((
+                format!("{name}+valueindex"),
+                XmlStore::builder(scheme.clone()).value_index(true),
+            ));
+        }
+        out.push((name.to_string(), XmlStore::builder(scheme)));
     }
     out
 }
@@ -141,9 +162,8 @@ fn plans_match_golden() {
         } else {
             AUCTION_DTD
         };
-        for scheme in all_schemes(dtd).expect("schemes") {
-            let scheme_name = scheme.name();
-            let mut store = XmlStore::builder(scheme).open().expect("install");
+        for (scheme_name, builder) in store_variants(dtd) {
+            let mut store = builder.open().expect("install");
             store.load_document(corpus_name, &doc).expect("load");
             for (experiment, q) in workload(corpus_name) {
                 seen += 1;
@@ -163,7 +183,7 @@ fn plans_match_golden() {
             }
         }
     }
-    assert!(seen >= 78, "workload shrank: only {seen} plans checked");
+    assert!(seen >= 117, "workload shrank: only {seen} plans checked");
     assert!(
         mismatches.is_empty(),
         "{} golden plan(s) changed:\n{}",
