@@ -24,7 +24,7 @@ pub mod compile;
 pub mod contract;
 pub mod error;
 pub mod ledger;
-pub mod publish;
+mod publish;
 pub mod serve;
 pub mod sqlgen;
 pub mod store;

@@ -44,10 +44,10 @@ use xmlrel_obs::timed_lock::{TimedReadGuard, TimedRwLock, TimedWriteGuard, POISO
 use xmlrel_obs::{metrics, trace, PhaseTimings};
 use xqir::parse_query;
 
-use crate::compile::driver::{compile_query, OutKind, Slot, Template, Translated};
+use crate::compile::driver::{compile_query, OutKind, Translated};
 use crate::compile::{
     binary::BinaryCompiler, dewey::DeweyCompiler, edge::EdgeCompiler, inline::InlineCompiler,
-    interval::IntervalCompiler, universal::UniversalCompiler, NodeKey, StepCompiler,
+    interval::IntervalCompiler, universal::UniversalCompiler, StepCompiler,
 };
 use crate::contract::{check_contract, QueryTraits};
 use crate::error::{CoreError, Result};
@@ -89,7 +89,7 @@ impl Scheme {
         }
     }
 
-    fn compiler(&self) -> Box<dyn StepCompiler + '_> {
+    pub(crate) fn compiler(&self) -> Box<dyn StepCompiler + '_> {
         match self {
             Scheme::Edge(s) => Box::new(EdgeCompiler::new(s.clone())),
             Scheme::Binary(s) => Box::new(BinaryCompiler::new(s.clone())),
@@ -97,38 +97,6 @@ impl Scheme {
             Scheme::Interval(s) => Box::new(IntervalCompiler::new(s.clone())),
             Scheme::Dewey(s) => Box::new(DeweyCompiler::new(s.clone())),
             Scheme::Inline(s) => Box::new(InlineCompiler::new(s.clone())),
-        }
-    }
-
-    fn publish_key(&self, db: &Database, key: &NodeKey) -> Result<String> {
-        match (self, key) {
-            (Scheme::Edge(s), NodeKey::Pre { doc, pre }) => {
-                publish::publish_edge(db, s, *doc, *pre)
-            }
-            (Scheme::Binary(s), NodeKey::Pre { doc, pre }) => {
-                publish::publish_binary(db, s, *doc, *pre)
-            }
-            (Scheme::Universal(s), NodeKey::Pre { doc, pre }) => {
-                publish::publish_universal(db, s, *doc, *pre)
-            }
-            (Scheme::Interval(s), NodeKey::Pre { doc, pre }) => {
-                publish::publish_interval(db, s, *doc, *pre)
-            }
-            (Scheme::Dewey(s), NodeKey::Dewey { doc, key }) => {
-                publish::publish_dewey(db, s, *doc, key)
-            }
-            (
-                Scheme::Inline(s),
-                NodeKey::Inline {
-                    doc,
-                    anchor,
-                    id,
-                    path,
-                },
-            ) => publish::publish_inline(db, s, *doc, anchor, *id, path),
-            _ => Err(CoreError::Translate(
-                "node key does not match the scheme".into(),
-            )),
         }
     }
 }
@@ -787,42 +755,6 @@ impl XmlStore {
         });
     }
 
-    /// Publish rows as XML fragments / string values per the translated
-    /// query's output kind.
-    fn publish_rows(
-        &self,
-        db: &Database,
-        t: &Translated,
-        rows: &[Vec<Value>],
-    ) -> Result<Vec<String>> {
-        let compiler = self.scheme.compiler();
-        let mut items = Vec::with_capacity(rows.len());
-        match &t.out {
-            OutKind::Values { col } => {
-                for row in rows {
-                    match &row[*col] {
-                        Value::Null => {}
-                        v => items.push(v.to_string()),
-                    }
-                }
-            }
-            OutKind::Nodes => {
-                for row in rows {
-                    let key = compiler.decode_key(&row[..t.key_width])?;
-                    items.push(self.scheme.publish_key(db, &key)?);
-                }
-            }
-            OutKind::Constructed(template) => {
-                for row in rows {
-                    let mut s = String::new();
-                    self.render_template(db, template, row, compiler.as_ref(), &mut s)?;
-                    items.push(s);
-                }
-            }
-        }
-        Ok(items)
-    }
-
     /// Statically validate a compiled query string against the catalog this
     /// store's shredder actually created: re-parse it with the SQL parser,
     /// bind it, and run the plan validator over the bound, optimized, and
@@ -923,47 +855,6 @@ impl XmlStore {
 
     #[cfg(not(debug_assertions))]
     fn debug_verify(&self, _db: &Database, _t: &Translated) -> Result<()> {
-        Ok(())
-    }
-
-    fn render_template(
-        &self,
-        db: &Database,
-        template: &Template,
-        row: &[Value],
-        compiler: &dyn StepCompiler,
-        out: &mut String,
-    ) -> Result<()> {
-        out.push('<');
-        out.push_str(&template.name);
-        for (k, v) in &template.attrs {
-            out.push_str(&format!(" {k}=\"{}\"", xmlpar::escape::escape_attr(v)));
-        }
-        if template.children.is_empty() {
-            out.push_str("/>");
-            return Ok(());
-        }
-        out.push('>');
-        for child in &template.children {
-            match child {
-                Slot::Text(t) => out.push_str(&xmlpar::escape::escape_text(t)),
-                Slot::Value(col) => {
-                    if let Some(v) = row.get(*col) {
-                        if !v.is_null() {
-                            out.push_str(&xmlpar::escape::escape_text(&v.to_string()));
-                        }
-                    }
-                }
-                Slot::Node(start) => {
-                    let key = compiler.decode_key(&row[*start..*start + compiler.key_width()])?;
-                    out.push_str(&self.scheme.publish_key(db, &key)?);
-                }
-                Slot::Nested(t) => self.render_template(db, t, row, compiler, out)?,
-            }
-        }
-        out.push_str("</");
-        out.push_str(&template.name);
-        out.push('>');
         Ok(())
     }
 
@@ -1142,7 +1033,7 @@ impl<'a> QueryRequest<'a> {
         let publish_started = Instant::now();
         let items = {
             let _span = trace::span("publish", "core");
-            store.publish_rows(&db, &t, &rows)?
+            publish::publish_rows(&store.scheme, &db, &limits, &t, &rows)?
         };
         phases.publish_us = elapsed_us(publish_started);
         Ok(QueryOutput {

@@ -52,6 +52,11 @@ impl BinaryScheme {
         PathSummary { prefix: "bin" }
     }
 
+    /// The registry assigning element and attribute labels to tables.
+    pub fn registry(&self) -> &LabelRegistry {
+        &self.registry
+    }
+
     /// Table for an element label, if one exists yet.
     pub fn element_table(&self, db: &Database, label: &str) -> Result<Option<String>> {
         self.registry.lookup(db, label, "elem")

@@ -30,8 +30,9 @@
 //! so document order survives reconstruction.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
 
-use reldb::{row_int, row_text, Database, ExecResult, Value};
+use reldb::{row_int, row_text, Database, ExecLimits, ExecResult, Value};
 use xmlpar::dtd::{Card, Dtd, NormalizedModel};
 use xmlpar::{Document, NodeId, NodeKind, QName};
 
@@ -412,23 +413,6 @@ impl InlineScheme {
     }
 }
 
-impl InlineScheme {
-    /// Reconstruct a single node (a tabled row, or an inlined element at
-    /// `path` within one) as its own document fragment. Used by the
-    /// query-result publisher.
-    pub fn reconstruct_node(
-        &self,
-        db: &Database,
-        doc_id: i64,
-        anchor: &str,
-        id: i64,
-        path: &[String],
-    ) -> Result<Document> {
-        let mut loader = InlineLoader::load(&self.mapping, db, doc_id)?;
-        loader.build_node(anchor, id, path)
-    }
-}
-
 impl MappingScheme for InlineScheme {
     fn name(&self) -> &'static str {
         "inline"
@@ -494,7 +478,7 @@ impl MappingScheme for InlineScheme {
     }
 
     fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document> {
-        let mut loader = InlineLoader::load(&self.mapping, db, doc_id)?;
+        let mut loader = InlineLoader::load(&self.mapping, db, &db.limits, doc_id)?;
         loader.build()
     }
 
@@ -722,7 +706,6 @@ impl InlineShredder<'_> {
 // ---- reconstruction --------------------------------------------------------
 
 /// One loaded row: surrogate id, ord, and value columns by name.
-#[derive(Clone)]
 struct LoadedRow {
     id: i64,
     ord: i64,
@@ -730,23 +713,34 @@ struct LoadedRow {
 }
 
 /// (table, parent_id, parent_path) → child rows.
-type ChildMap = HashMap<(String, Option<i64>, String), Vec<(String, LoadedRow)>>;
+type ChildMap = HashMap<(String, Option<i64>, String), Vec<(String, Rc<LoadedRow>)>>;
 
-struct InlineLoader<'a> {
+/// One document's rows, loaded from every relation of the mapping. Built
+/// once, it rebuilds the whole document ([`MappingScheme::reconstruct`])
+/// or any number of its nodes ([`InlineLoader::build_node`]); building
+/// reads the loaded rows and never consumes them.
+pub struct InlineLoader<'a> {
     mapping: &'a InlineMapping,
     /// Child rows sorted by ord.
     children: ChildMap,
     /// (element, id) → row (for direct node lookup by the publisher).
-    by_id: HashMap<(String, i64), LoadedRow>,
+    by_id: HashMap<(String, i64), Rc<LoadedRow>>,
     /// (table, id) → text fragments (ord, value).
     texts: HashMap<(String, i64), Vec<(i64, String)>>,
     doc: Option<Document>,
 }
 
 impl<'a> InlineLoader<'a> {
-    fn load(mapping: &'a InlineMapping, db: &Database, doc_id: i64) -> Result<InlineLoader<'a>> {
+    /// Load document `doc_id`: one statement per relation of `mapping`
+    /// plus one for `inl_text`, each run under `limits`.
+    pub fn load(
+        mapping: &'a InlineMapping,
+        db: &Database,
+        limits: &ExecLimits,
+        doc_id: i64,
+    ) -> Result<InlineLoader<'a>> {
         let mut children: ChildMap = HashMap::new();
-        let mut by_id: HashMap<(String, i64), LoadedRow> = HashMap::new();
+        let mut by_id: HashMap<(String, i64), Rc<LoadedRow>> = HashMap::new();
         for def in mapping.tables.values() {
             let col_list: Vec<&str> = def.columns.iter().map(|c| c.column.as_str()).collect();
             let select = if col_list.is_empty() {
@@ -759,22 +753,22 @@ impl<'a> InlineLoader<'a> {
                  FROM {} WHERE doc = {doc_id}",
                 def.table
             ))?
-            .run(&db.limits, false, |row| {
+            .run(limits, false, |row| {
                 let mut values = HashMap::new();
                 for (i, c) in col_list.iter().enumerate() {
                     values.insert(c.to_string(), row[5 + i].clone());
                 }
-                let loaded = LoadedRow {
+                let loaded = Rc::new(LoadedRow {
                     id: row_int(&row, 0).unwrap_or(0),
                     ord: row_int(&row, 4).unwrap_or(0),
                     values,
-                };
+                });
                 let key = (
                     row_text(&row, 2).unwrap_or("").to_string(),
                     row_int(&row, 1),
                     row_text(&row, 3).unwrap_or("").to_string(),
                 );
-                by_id.insert((def.element.clone(), loaded.id), loaded.clone());
+                by_id.insert((def.element.clone(), loaded.id), Rc::clone(&loaded));
                 children
                     .entry(key)
                     .or_default()
@@ -790,7 +784,7 @@ impl<'a> InlineLoader<'a> {
         db.prepare(&format!(
             "SELECT tbl, parent_id, ord, value FROM inl_text WHERE doc = {doc_id}"
         ))?
-        .run(&db.limits, false, |row| {
+        .run(limits, false, |row| {
             texts
                 .entry((
                     row_text(&row, 0).unwrap_or("").to_string(),
@@ -816,8 +810,9 @@ impl<'a> InlineLoader<'a> {
         })
     }
 
-    /// Build a fragment rooted at one node.
-    fn build_node(&mut self, anchor: &str, id: i64, path: &[String]) -> Result<Document> {
+    /// Build a fragment rooted at one node: a tabled row (`path` empty)
+    /// or the inlined element at `path` within it.
+    pub fn build_node(&mut self, anchor: &str, id: i64, path: &[String]) -> Result<Document> {
         let row = self
             .by_id
             .get(&(anchor.to_string(), id))
@@ -863,7 +858,8 @@ impl<'a> InlineLoader<'a> {
         // The root row: no parent.
         let roots = self
             .children
-            .remove(&(String::new(), None, String::new()))
+            .get(&(String::new(), None, String::new()))
+            .cloned()
             .unwrap_or_default();
         if roots.len() != 1 {
             return Err(ShredError::Corrupt(format!(
@@ -899,16 +895,17 @@ impl<'a> InlineLoader<'a> {
         if def.mixed {
             // Interleave tabled children and text fragments by ord.
             let mut items: Vec<(i64, Item)> = Vec::new();
-            let kids = self
+            if let Some(kids) = self
                 .children
-                .remove(&(def.table.clone(), Some(row.id), String::new()))
-                .unwrap_or_default();
-            for (el, r) in kids {
-                items.push((r.ord, Item::Tabled(el, r)));
+                .get(&(def.table.clone(), Some(row.id), String::new()))
+            {
+                for (el, r) in kids {
+                    items.push((r.ord, Item::Tabled(el.clone(), Rc::clone(r))));
+                }
             }
-            if let Some(frags) = self.texts.remove(&(def.table.clone(), row.id)) {
+            if let Some(frags) = self.texts.get(&(def.table.clone(), row.id)) {
                 for (ord, v) in frags {
-                    items.push((ord, Item::Text(v)));
+                    items.push((*ord, Item::Text(v.clone())));
                 }
             }
             items.sort_by_key(|(ord, item)| (*ord, matches!(item, Item::Text(_)) as u8));
@@ -956,7 +953,7 @@ impl<'a> InlineLoader<'a> {
                 // All rows of this label hanging under (table, row.id, path).
                 // Rows are cloned (not removed) because several tabled child
                 // labels can share the same key.
-                let kids: Vec<(String, LoadedRow)> = self
+                let kids: Vec<(String, Rc<LoadedRow>)> = self
                     .children
                     .get(&(def.table.clone(), Some(row.id), path.join("/")))
                     .map(|v| v.iter().filter(|(el, _)| el == child).cloned().collect())
@@ -1019,7 +1016,7 @@ impl<'a> InlineLoader<'a> {
 
 enum Item {
     Text(String),
-    Tabled(String, LoadedRow),
+    Tabled(String, Rc<LoadedRow>),
 }
 
 fn parse_qname(s: &str) -> Result<QName> {

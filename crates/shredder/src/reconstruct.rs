@@ -1,5 +1,6 @@
 //! Rebuilding a DOM from flat node records (the publishing direction).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use xmlpar::{Document, NodeId, QName};
@@ -34,13 +35,9 @@ pub fn rebuild(recs: Vec<NodeRec>) -> Result<Document> {
     let Some(root) = root else {
         return Err(ShredError::Corrupt("no root record for document".into()));
     };
-    if root.kind != RecKind::Elem {
-        return Err(ShredError::Corrupt("root record is not an element".into()));
-    }
-    let mut doc = Document::new_with_root(parse_name(root.name.as_deref())?);
-    let root_id = doc.root();
-    let mut remaining = recs.len() - 1;
-    attach(&mut doc, root_id, root.pre, &children, &mut remaining, 0)?;
+    let mut attached = 0;
+    let doc = build(root, &children, &mut attached)?;
+    let remaining = recs.len() - 1 - attached;
     if remaining != 0 {
         return Err(ShredError::Corrupt(format!(
             "{remaining} records unreachable from the root"
@@ -49,12 +46,38 @@ pub fn rebuild(recs: Vec<NodeRec>) -> Result<Document> {
     Ok(doc)
 }
 
-fn attach(
+/// Rebuild the subtree under `root` as a document of its own. `children`
+/// maps a record's `pre` to its child records, each list sorted by
+/// `(ordinal, pre)` as [`rebuild`] sorts them; records that are not
+/// below `root` are ignored.
+pub fn rebuild_subtree<R: Borrow<NodeRec>>(
+    root: &NodeRec,
+    children: &HashMap<i64, Vec<R>>,
+) -> Result<Document> {
+    build(root, children, &mut 0)
+}
+
+/// Rebuild under `root`, counting the records attached below it.
+fn build<R: Borrow<NodeRec>>(
+    root: &NodeRec,
+    children: &HashMap<i64, Vec<R>>,
+    attached: &mut usize,
+) -> Result<Document> {
+    if root.kind != RecKind::Elem {
+        return Err(ShredError::Corrupt("root record is not an element".into()));
+    }
+    let mut doc = Document::new_with_root(parse_name(root.name.as_deref())?);
+    let root_id = doc.root();
+    attach(&mut doc, root_id, root.pre, children, attached, 0)?;
+    Ok(doc)
+}
+
+fn attach<R: Borrow<NodeRec>>(
     doc: &mut Document,
     parent_id: NodeId,
     parent_pre: i64,
-    children: &HashMap<i64, Vec<&NodeRec>>,
-    remaining: &mut usize,
+    children: &HashMap<i64, Vec<R>>,
+    attached: &mut usize,
     depth: usize,
 ) -> Result<()> {
     if depth > 100_000 {
@@ -64,11 +87,12 @@ fn attach(
         return Ok(());
     };
     for rec in list {
-        *remaining -= 1;
+        let rec = rec.borrow();
+        *attached += 1;
         match rec.kind {
             RecKind::Elem => {
                 let id = doc.add_element(parent_id, parse_name(rec.name.as_deref())?, Vec::new());
-                attach(doc, id, rec.pre, children, remaining, depth + 1)?;
+                attach(doc, id, rec.pre, children, attached, depth + 1)?;
             }
             RecKind::Attr => {
                 doc.add_attribute(

@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use reldb::{row_int, row_text, Database, ExecResult, Value};
+use reldb::{row_int, row_text, Database, ExecLimits, ExecResult, Value};
 use xmlpar::Document;
 
 use crate::error::{Result, ShredError};
@@ -89,6 +89,94 @@ impl UniversalScheme {
             .into_iter()
             .find(|c| c.label == label && c.kind == kind)
             .map(|c| c.stem))
+    }
+
+    /// Every node record of document `doc_id`, read with one scan of
+    /// `univ` under `limits`. Element and text records keep their stored
+    /// pre numbers; attribute records get unique negative ones. The root
+    /// record is the one whose parent is `None`.
+    pub fn records(&self, db: &Database, limits: &ExecLimits, doc_id: i64) -> Result<Vec<NodeRec>> {
+        let meta = self.label_columns(db)?;
+        let schema = db.catalog.table("univ")?.schema.clone();
+        let col = |name: &str| -> Result<usize> {
+            schema.index_of(name).ok_or_else(|| {
+                ShredError::Corrupt(format!("universal table lacks column {name:?}"))
+            })
+        };
+        let src_col = col("src")?;
+        // Resolve every per-label column up front so schema drift is a
+        // typed error, not a panic inside the scan callback.
+        let mut meta_cols: Vec<(usize, usize)> = Vec::with_capacity(meta.len());
+        for m in &meta {
+            meta_cols.push(if m.kind == "elem" {
+                (
+                    col(&format!("t_{}", m.stem))?,
+                    col(&format!("o_{}", m.stem))?,
+                )
+            } else {
+                (
+                    col(&format!("a_{}", m.stem))?,
+                    col(&format!("ao_{}", m.stem))?,
+                )
+            });
+        }
+        let (t_text, o_text, v_text) = (col("t_text")?, col("o_text")?, col("v_text")?);
+        let mut recs: Vec<NodeRec> = Vec::new();
+        // Synthetic unique ids for attribute records (never referenced).
+        let mut synth = -1i64;
+        db.prepare(&format!("SELECT * FROM univ WHERE doc = {doc_id}"))?
+            .run(limits, false, |row| {
+                let src = row_int(&row, src_col);
+                for (m, &(c1, c2)) in meta.iter().zip(&meta_cols) {
+                    if m.kind == "elem" {
+                        let t = row_int(&row, c1);
+                        let o = row_int(&row, c2);
+                        if let (Some(t), Some(o)) = (t, o) {
+                            recs.push(NodeRec {
+                                pre: t,
+                                parent: src,
+                                ordinal: o,
+                                size: 0,
+                                level: 0,
+                                kind: RecKind::Elem,
+                                name: Some(m.label.clone()),
+                                value: None,
+                            });
+                        }
+                    } else {
+                        let a = row_text(&row, c1).map(str::to_string);
+                        let ao = row_int(&row, c2);
+                        if let (Some(a), Some(ao)) = (a, ao) {
+                            recs.push(NodeRec {
+                                pre: synth,
+                                parent: src,
+                                ordinal: ao,
+                                size: 0,
+                                level: 0,
+                                kind: RecKind::Attr,
+                                name: Some(m.label.clone()),
+                                value: Some(a),
+                            });
+                            synth -= 1;
+                        }
+                    }
+                }
+                if let (Some(t), Some(o)) = (row_int(&row, t_text), row_int(&row, o_text)) {
+                    recs.push(NodeRec {
+                        pre: t,
+                        parent: src,
+                        ordinal: o,
+                        size: 0,
+                        level: 0,
+                        kind: RecKind::Text,
+                        name: None,
+                        value: row_text(&row, v_text).map(str::to_string),
+                    });
+                }
+                Ok(())
+            })
+            .0?;
+        Ok(recs)
     }
 
     /// Create `univ` for a label set (first shred does this automatically).
@@ -281,88 +369,7 @@ impl MappingScheme for UniversalScheme {
     }
 
     fn reconstruct(&self, db: &Database, doc_id: i64) -> Result<Document> {
-        let meta = self.label_columns(db)?;
-        let schema = db.catalog.table("univ")?.schema.clone();
-        let col = |name: &str| -> Result<usize> {
-            schema.index_of(name).ok_or_else(|| {
-                ShredError::Corrupt(format!("universal table lacks column {name:?}"))
-            })
-        };
-        let src_col = col("src")?;
-        // Resolve every per-label column up front so schema drift is a
-        // typed error, not a panic inside the scan callback.
-        let mut meta_cols: Vec<(usize, usize)> = Vec::with_capacity(meta.len());
-        for m in &meta {
-            meta_cols.push(if m.kind == "elem" {
-                (
-                    col(&format!("t_{}", m.stem))?,
-                    col(&format!("o_{}", m.stem))?,
-                )
-            } else {
-                (
-                    col(&format!("a_{}", m.stem))?,
-                    col(&format!("ao_{}", m.stem))?,
-                )
-            });
-        }
-        let (t_text, o_text, v_text) = (col("t_text")?, col("o_text")?, col("v_text")?);
-        let mut recs: Vec<NodeRec> = Vec::new();
-        // Synthetic unique ids for attribute records (never referenced).
-        let mut synth = -1i64;
-        db.prepare(&format!("SELECT * FROM univ WHERE doc = {doc_id}"))?
-            .run(&db.limits, false, |row| {
-                let src = row_int(&row, src_col);
-                for (m, &(c1, c2)) in meta.iter().zip(&meta_cols) {
-                    if m.kind == "elem" {
-                        let t = row_int(&row, c1);
-                        let o = row_int(&row, c2);
-                        if let (Some(t), Some(o)) = (t, o) {
-                            recs.push(NodeRec {
-                                pre: t,
-                                parent: src,
-                                ordinal: o,
-                                size: 0,
-                                level: 0,
-                                kind: RecKind::Elem,
-                                name: Some(m.label.clone()),
-                                value: None,
-                            });
-                        }
-                    } else {
-                        let a = row_text(&row, c1).map(str::to_string);
-                        let ao = row_int(&row, c2);
-                        if let (Some(a), Some(ao)) = (a, ao) {
-                            recs.push(NodeRec {
-                                pre: synth,
-                                parent: src,
-                                ordinal: ao,
-                                size: 0,
-                                level: 0,
-                                kind: RecKind::Attr,
-                                name: Some(m.label.clone()),
-                                value: Some(a),
-                            });
-                            synth -= 1;
-                        }
-                    }
-                }
-                if let (Some(t), Some(o)) = (row_int(&row, t_text), row_int(&row, o_text)) {
-                    recs.push(NodeRec {
-                        pre: t,
-                        parent: src,
-                        ordinal: o,
-                        size: 0,
-                        level: 0,
-                        kind: RecKind::Text,
-                        name: None,
-                        value: row_text(&row, v_text).map(str::to_string),
-                    });
-                }
-                Ok(())
-            })
-            .0?;
-        // The virtual root row produced a root record with parent None.
-        rebuild(recs)
+        rebuild(self.records(db, &db.limits, doc_id)?)
     }
 
     fn delete_document(&self, db: &mut Database, doc_id: i64) -> Result<usize> {
